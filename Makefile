@@ -41,7 +41,9 @@ parse-smoke:
 # crash-smoke replays the crash-torture battery (-short trims the
 # random intra-frame cuts; every frame-boundary cut still runs): the WAL
 # is cut at every byte offset that a real crash could leave behind and
-# recovery must restore an exact statement prefix with no double-applies.
+# recovery must restore an exact prefix of committed units with no
+# double-applies — including random interleaved multi-session
+# BEGIN/DML/COMMIT/ROLLBACK scripts.
 crash-smoke:
 	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink' ./internal/engine
 
@@ -59,15 +61,19 @@ netfault-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALFrame -fuzztime 10s ./internal/engine
 
-# mvcc-smoke exercises the MVCC snapshot layer under the race detector:
-# snapshot atomicity beside concurrent writers (plain, hash-index and
-# period-index scans), rollback targeting, horizon-gated slot reuse,
-# zero goroutine leaks and GC of superseded versions — then runs the
-# disjoint-writer benchmark with and without the scanning analyst so the
-# analyst's cost to writers stays visible (scans never take locks, so
-# any gap is pure CPU competition).
+# mvcc-smoke exercises the MVCC snapshot layer and commit-unit
+# transactions under the race detector: snapshot atomicity beside
+# concurrent writers (plain, hash-index and period-index scans), no
+# dirty reads, atomic multi-table commits, wait-die lock ordering, hash
+# postings surviving a failed statement until ROLLBACK, zero goroutine
+# leaks and GC of superseded versions — then the multi-session
+# transaction stress tests at 1, 2 and 4 CPUs (50 runs each), then the
+# disjoint-writer benchmark with and without the scanning analyst so
+# the analyst's cost to writers stays visible (scans never take locks,
+# so any gap is pure CPU competition).
 mvcc-smoke:
-	$(GO) test -race -run 'TestMVCC' -count=1 ./internal/engine
+	$(GO) test -race -run 'TestMVCC|TestTxn' -count=1 ./internal/engine
+	$(GO) test -race -cpu 1,2,4 -count=50 -run 'TestMultiSessionStress|TestConcurrentTransactionsPerSession' ./internal/server ./internal/engine
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDisjointWriters(PerTable|NoAnalyst)$$' -benchtime 200ms .
 
 # plan-smoke exercises the cost-based planner and the batched executor
@@ -86,9 +92,10 @@ plan-smoke:
 # bootstrapped read replicas over real TCP) converging under load,
 # killed replicas rejoining via snapshot + WAL catch-up, severed and
 # stalled links resubscribing with exact-count (no-gap, no-double-apply)
-# convergence, checkpoint truncation forcing snapshot re-bootstrap, and
-# the staleness-bounded read router failing over around dead and lagging
-# replicas.
+# convergence, checkpoint truncation forcing snapshot re-bootstrap, the
+# staleness-bounded read router failing over around dead and lagging
+# replicas, and replica reads racing open, rolled-back and multi-row
+# committed primary transactions (never an uncommitted or partial row).
 repl-smoke:
 	$(GO) test -race -count=1 ./internal/repl
 

@@ -654,24 +654,21 @@ func E8(sizes []int) *Table {
 	return t
 }
 
-// E9 measures what per-table locking buys over the seed's single
-// engine-wide lock (the coarse ablation, engine.SetCoarseLocking): a
-// mixed workload where an analyst session runs long temporal scans over
-// one table while writer sessions insert into their own, disjoint
-// tables. Under the coarse lock every insert queues behind the scan in
-// flight; under per-table locks the writers never meet the analyst.
-// The reported metric is aggregate writer throughput — the statements
-// the coarse lock makes wait on an unrelated table.
+// E9 measures concurrency under per-table write locks and snapshot
+// reads: a mixed workload where an analyst session runs long temporal
+// scans over one table while writer sessions insert into their own,
+// disjoint tables. The writers never meet the analyst or each other.
+// The reported metrics are aggregate writer throughput and the
+// analyst's scan rate.
 func E9(writerCounts []int, analystRows int, runFor time.Duration) *Table {
 	t := &Table{
 		ID: "E9",
 		Title: fmt.Sprintf("Concurrency: writer throughput beside a scanning analyst (%d-row scans, %v window)",
 			analystRows, runFor),
-		Header: []string{"writers", "coarse (1 lock)", "per-table", "speedup", "coarse scans/s", "per-table scans/s"},
+		Header: []string{"writers", "inserts/s", "scans/s"},
 		Notes: []string{
 			"one analyst session loops `SELECT COUNT(*) ... WHERE overlaps(...)` full scans over rx;",
 			"each writer session inserts into its own table, disjoint from rx and from each other",
-			"coarse mode = SetCoarseLocking(true), the seed engine's discipline",
 		},
 	}
 	newEngine := func(writers int) *engine.Database {
@@ -747,17 +744,11 @@ func E9(writerCounts []int, analystRows int, runFor time.Duration) *Table {
 		return float64(ops.Load()) / elapsed.Seconds(), float64(scans.Load()) / elapsed.Seconds()
 	}
 	for _, g := range writerCounts {
-		coarseDB := newEngine(g)
-		coarseDB.SetCoarseLocking(true)
-		coarseOps, coarseScans := run(coarseDB, g)
-		fineOps, fineScans := run(newEngine(g), g)
+		ops, scans := run(newEngine(g), g)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", g),
-			fmt.Sprintf("%.0f ops/s", coarseOps),
-			fmt.Sprintf("%.0f ops/s", fineOps),
-			fmt.Sprintf("%.1fx", fineOps/coarseOps),
-			fmt.Sprintf("%.0f", coarseScans),
-			fmt.Sprintf("%.0f", fineScans),
+			fmt.Sprintf("%.0f", ops),
+			fmt.Sprintf("%.0f", scans),
 		})
 	}
 	return t

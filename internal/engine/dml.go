@@ -6,22 +6,20 @@ import (
 
 	"tip/internal/exec"
 	"tip/internal/sql/ast"
-	"tip/internal/txn"
 	"tip/internal/types"
 )
 
 // DML execution: INSERT, UPDATE, DELETE with NOT NULL enforcement,
-// implicit assignment casts, index maintenance and undo logging.
+// implicit assignment casts and index maintenance.
 //
-// Each statement opens a TableWriter over the table's latest version
-// (the pinned snapshot of a written table is the latest version, since
-// the snapshot is captured after the write lock is held), applies every
-// row change to the writer, and publishes atomically with Commit. Any
-// error discards the writer, so readers never observe a partial
-// statement and failed statements leave no trace. Undo entries are
-// buffered and flushed to the open transaction only after Commit — a
-// discarded writer must not leave undo entries addressing rows that
-// were never published.
+// Each statement opens a writer on its unit's overlay of the table
+// (beginWrite; the pinned snapshot of a written table is that overlay,
+// since the snapshot is captured after the write lock is held) and
+// applies every row change to it. Session.run ends the writer: a
+// successful statement folds into the overlay, a failed one leaves no
+// trace, so nobody — not even the statement's own transaction — ever
+// observes a partial statement. The overlay itself is published at
+// commit (unit.go).
 
 func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.Result, error) {
 	tbl, ok := s.db.tables[strings.ToLower(st.Table)]
@@ -68,17 +66,15 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 	}
 
 	// Last cancel point: once the writer opens, the statement runs to
-	// completion (or discards wholesale), so cancellation can never
+	// completion (or is discarded wholesale), so cancellation can never
 	// leave a partial insert.
 	if err := env.CancelErr(); err != nil {
 		return nil, err
 	}
 	now := s.Now()
 	w := s.beginWrite(tbl)
-	var undo []txn.Entry
 	for _, in := range incoming {
 		if len(in) != len(cols) {
-			w.Discard()
 			return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(in), len(cols))
 		}
 		row := make(exec.Row, len(tbl.Meta.Columns))
@@ -88,26 +84,20 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 		for i, pos := range cols {
 			cv, err := s.coerce(in[i], tbl.Meta.Columns[pos].Type)
 			if err != nil {
-				w.Discard()
 				return nil, fmt.Errorf("engine: column %s: %w", tbl.Meta.Columns[pos].Name, err)
 			}
 			row[pos] = cv
 		}
 		for i, col := range tbl.Meta.Columns {
 			if col.NotNull && row[i].Null {
-				w.Discard()
 				return nil, fmt.Errorf("engine: column %s is NOT NULL", col.Name)
 			}
 		}
 		id := w.Insert(row)
 		if err := w.IndexRow(id, row, now); err != nil {
-			w.Discard()
 			return nil, err
 		}
-		undo = append(undo, txn.Entry{Op: txn.OpInsert, Table: tbl.Meta.Name, RowID: id})
 	}
-	w.Commit()
-	s.logUndo(undo)
 	return &exec.Result{Affected: len(incoming)}, nil
 }
 
@@ -153,7 +143,6 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 	}
 	now := s.Now()
 	w := s.beginWrite(tbl)
-	var undo []txn.Entry
 	for _, id := range ids {
 		old, ok := w.Get(id)
 		if !ok {
@@ -164,33 +153,25 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 		for _, set := range setters {
 			v, err := set.e(env, old)
 			if err != nil {
-				w.Discard()
 				return nil, err
 			}
 			cv, err := s.coerce(v, tbl.Meta.Columns[set.pos].Type)
 			if err != nil {
-				w.Discard()
 				return nil, fmt.Errorf("engine: column %s: %w", tbl.Meta.Columns[set.pos].Name, err)
 			}
 			if tbl.Meta.Columns[set.pos].NotNull && cv.Null {
-				w.Discard()
 				return nil, fmt.Errorf("engine: column %s is NOT NULL", tbl.Meta.Columns[set.pos].Name)
 			}
 			row[set.pos] = cv
 		}
 		w.UnindexRow(id, old, now)
 		if _, err := w.Update(id, row); err != nil {
-			w.Discard()
 			return nil, err
 		}
 		if err := w.IndexRow(id, row, now); err != nil {
-			w.Discard()
 			return nil, err
 		}
-		undo = append(undo, txn.Entry{Op: txn.OpUpdate, Table: tbl.Meta.Name, RowID: id, Old: old})
 	}
-	w.Commit()
-	s.logUndo(undo)
 	return &exec.Result{Affected: len(ids)}, nil
 }
 
@@ -217,42 +198,26 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 	}
 	now := s.Now()
 	w := s.beginWrite(tbl)
-	var undo []txn.Entry
 	for _, id := range ids {
 		old, err := w.Delete(id)
 		if err != nil {
-			w.Discard()
 			return nil, err
 		}
 		w.UnindexRow(id, old, now)
-		undo = append(undo, txn.Entry{Op: txn.OpDelete, Table: tbl.Meta.Name, RowID: id, Old: old})
 	}
-	w.Commit()
-	s.logUndo(undo)
 	return &exec.Result{Affected: len(ids)}, nil
-}
-
-// logUndo flushes a committed statement's buffered undo entries to the
-// open transaction, if any.
-func (s *Session) logUndo(undo []txn.Entry) {
-	if s.tx == nil {
-		return
-	}
-	for _, e := range undo {
-		s.tx.Log(e)
-	}
 }
 
 // matchingRows collects the ids of rows satisfying the (optional) WHERE
 // predicate against the statement's pinned snapshot, before any
 // mutation begins. For a written table the pinned snapshot is the
-// latest version (captured under the write lock), so the id set is
-// exact.
+// unit's overlay (captured under the write lock), which the statement's
+// writer builds on, so the id set is exact.
 func (s *Session) matchingRows(tbl *exec.Table, env *exec.Env, where exec.RowExpr) ([]int, error) {
 	var ids []int
 	var scanErr error
 	var ticks uint32
-	s.snap(tbl).Rows.Scan(func(id int, r exec.Row) bool {
+	s.snaps[strings.ToLower(tbl.Meta.Name)].Rows.Scan(func(id int, r exec.Row) bool {
 		if ticks++; ticks&(exec.BatchRows-1) == 0 {
 			if scanErr = env.CancelErr(); scanErr != nil {
 				return false

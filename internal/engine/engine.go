@@ -7,21 +7,22 @@
 // Session is single-goroutine state (one per client connection); the
 // Database is safe for any number of concurrent sessions. Locking is
 // two-level: a catalog lock guards the schema, the table registry and
-// the WAL handle, and every table carries its own RWMutex. DDL takes
-// the catalog lock exclusively; DML and queries share the catalog lock
-// and lock only the tables the statement binds (writers exclusively,
-// readers shared), acquired in sorted name order so disjoint-table
-// statements run in parallel and same-table statements cannot deadlock.
+// the WAL handle, and every table carries a write lock. DDL takes the
+// catalog lock exclusively; DML and queries share the catalog lock,
+// writers take the write lock of the table they change, and readers
+// pin immutable table versions instead of locking (see locks.go).
 // Each session keeps an LRU cache of parsed statements keyed by SQL
 // text, revalidated against a catalog generation counter that every DDL
 // bumps, so the hot repeated-statement path skips the parser.
 //
-// Transactions are undo-logged and roll back row-level changes; the
+// Writes are published in commit units (unit.go): an autocommit
+// statement, or an explicit transaction whose writes stay in private
+// per-table overlays until COMMIT installs them all at once and logs
+// them as one WAL frame. ROLLBACK just drops the overlays. The
 // transaction's begin time fixes the interpretation of NOW for all its
 // statements (Clifford-style transaction-time NOW), and a session may
-// override NOW for what-if evaluation (SET NOW = ...). When the WAL is
-// enabled, state-changing statements are appended after they apply; see
-// Exec for the failure contract.
+// override NOW for what-if evaluation (SET NOW = ...). See Exec for the
+// WAL failure contract.
 package engine
 
 import (
@@ -51,30 +52,29 @@ type Database struct {
 	// serialise on per-table locks instead; DDL holds it exclusively.
 	mu     sync.RWMutex
 	gen    atomic.Uint64 // catalog generation; bumped by every DDL
-	coarse atomic.Bool   // ablation: seed-style single-lock discipline
 	reg    *blade.Registry
 	cat    *catalog.Catalog
-	tables map[string]*exec.Table   // lower-cased name
-	locks  map[string]*sync.RWMutex // per-table locks, same keys as tables
+	tables map[string]*exec.Table // lower-cased name
+	locks  map[string]*tableLock  // per-table write locks, same keys as tables
 	tm     *txn.Manager
 	wal    *wal      // nil unless EnableWAL was called
 	obs    *obsState // metrics registry + statement instrumentation
 
 	// MVCC state: vclock is the version clock stamping every writer
-	// statement (the in-memory extension of the WAL epoch/seq pair —
-	// see DESIGN.md), hz tracks which old sequences open transactions
-	// and in-flight statement snapshots still reach.
+	// statement and commit (the in-memory extension of the WAL
+	// epoch/seq pair — see DESIGN.md), hz tracks which old sequences
+	// in-flight statement snapshots still reach.
 	vclock atomic.Uint64
 	hz     *horizonTracker
 
 	// Durability state. epoch is the current durability epoch (stamped
 	// on snapshots and WAL frames; bumped by Checkpoint) and walSeq the
 	// last WAL frame sequence number; both are guarded by mu and fed by
-	// Load/ReplayWAL at recovery. ckpt is the checkpoint gate: writers
-	// hold it shared across apply+log, Checkpoint exclusively across
-	// epoch-bump+snapshot+truncate, so no statement lands in the
-	// snapshot while its WAL frame carries the new epoch (which would
-	// double-apply it at recovery).
+	// Load/ReplayWAL at recovery. ckpt is the checkpoint gate: writing
+	// statements and COMMIT hold it shared across apply+log, Checkpoint
+	// exclusively across epoch-bump+snapshot+truncate, so no unit lands
+	// in the snapshot while its WAL frame carries the new epoch (which
+	// would double-apply it at recovery).
 	epoch        uint64
 	walSeq       uint64
 	walBase      uint64 // seq preceding the oldest frame still in the log (guarded by mu)
@@ -82,7 +82,7 @@ type Database struct {
 	syncPolicy   atomic.Int32 // SyncPolicy; see SetDurability
 	syncInterval atomic.Int64 // SyncGrouped fsync cadence, nanoseconds
 
-	// readOnly marks a replica: loggable statements from ordinary
+	// readOnly marks a replica: writing statements from ordinary
 	// sessions fail with ErrReadOnly; see SetReadOnly.
 	readOnly atomic.Bool
 
@@ -99,10 +99,10 @@ func New(reg *blade.Registry) *Database {
 		reg:    reg,
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
-		locks:  make(map[string]*sync.RWMutex),
+		locks:  make(map[string]*tableLock),
 		tm:     txn.NewManager(),
 		obs:    newObsState(),
-		hz:     newHorizonTracker(),
+		hz:     &horizonTracker{readers: make(map[*Session]uint64)},
 	}
 	db.syncInterval.Store(int64(2 * time.Millisecond))
 	// Durability-position gauges: replication lag is judged against
@@ -137,13 +137,6 @@ func New(reg *blade.Registry) *Database {
 	return db
 }
 
-// SetCoarseLocking switches the engine to the pre-per-table-locking
-// discipline where every statement takes the catalog lock exclusively.
-// It exists as an ablation knob — the concurrency experiment (E9)
-// measures per-table locking against it — and as a bisection aid for
-// locking bugs; leave it off otherwise.
-func (db *Database) SetCoarseLocking(on bool) { db.coarse.Store(on) }
-
 // Generation returns the catalog generation counter. Every successful
 // DDL statement bumps it; session statement caches revalidate against
 // it.
@@ -164,7 +157,9 @@ func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 // used from multiple goroutines at once; open one session per client.
 type Session struct {
 	db          *Database
-	tx          *txn.Txn
+	tx          *txn.Txn          // open explicit transaction, if any
+	u           unit              // the open commit unit's writes and locks
+	stmtW       *exec.TableWriter // the running statement's writer, if it writes
 	nowOverride *temporal.Chronon
 	cache       *planCache
 	tr          obs.Trace // reused phase trace; armed on sampled statements
@@ -191,8 +186,9 @@ type Session struct {
 	// start (lower-cased table name → version); see captureSnaps.
 	snaps map[string]*exec.TableVersion
 
-	// replApply marks the replication apply session, exempt from the
-	// read-only check (see NewReplicaSession).
+	// replApply marks a session applying already-logged units (WAL
+	// replay and replication apply): exempt from the read-only check,
+	// and it never logs (see NewReplicaSession).
 	replApply bool
 }
 
@@ -224,12 +220,12 @@ func (s *Session) InTransaction() bool { return s.tx != nil }
 
 // Exec parses and executes one SQL statement with optional named
 // parameters, consulting the session's statement cache before the
-// parser. When write-ahead logging is enabled, state-changing
-// statements are appended to the log after they apply. If the append
-// fails, the in-memory result is still returned, together with an error
-// wrapping ErrWALFailed: the statement is applied but not durable, and
-// the WAL stops accepting appends so the log on disk stays a consistent
-// prefix of the in-memory history (Checkpoint heals it).
+// parser. When write-ahead logging is enabled, every committed unit is
+// appended to the log as it commits. If the append fails, the
+// in-memory result is still returned, together with an error wrapping
+// ErrWALFailed: the unit is applied but not durable, and the WAL stops
+// accepting appends so the log on disk stays a consistent prefix of
+// the in-memory history (Checkpoint heals it).
 func (s *Session) Exec(sql string, params map[string]types.Value) (*exec.Result, error) {
 	o := s.db.obs
 	if o.enabled() {
@@ -261,16 +257,15 @@ func (s *Session) Exec(sql string, params map[string]types.Value) (*exec.Result,
 	// read the statement's peak for the slow-query log.
 	defer s.mem.Reset()
 	s.mem.SetBudget(s.stmtMem)
-	res, err := s.execLogged(stmt, sql, params)
+	res, err := s.run(stmt, sql, params)
 	s.obsFinish(stmt, sql)
 	s.lastPeak = s.mem.Peak()
 	return res, err
 }
 
 // ExecScript executes a ';'-separated sequence of statements, returning
-// the last result. Each state-changing statement is WAL-logged
-// individually (with its own source text), exactly as if run through
-// Exec.
+// the last result. Each statement runs (and is WAL-logged with its own
+// source text) exactly as if run through Exec.
 func (s *Session) ExecScript(sql string, params map[string]types.Value) (*exec.Result, error) {
 	parts, err := parse.ParseScriptParts(sql)
 	if err != nil {
@@ -279,39 +274,13 @@ func (s *Session) ExecScript(sql string, params map[string]types.Value) (*exec.R
 	var last *exec.Result
 	for _, p := range parts {
 		s.mem.SetBudget(s.stmtMem)
-		last, err = s.execLogged(p.Stmt, p.SQL, params)
+		last, err = s.run(p.Stmt, p.SQL, params)
 		s.mem.Reset()
 		if err != nil {
 			return nil, err
 		}
 	}
 	return last, nil
-}
-
-// execLogged executes one parsed statement and appends it to the WAL
-// when it applied successfully and changes state. NOW is captured
-// before execution so the logged time matches what the statement
-// evaluated under (BEGIN changes the session's NOW as a side effect).
-func (s *Session) execLogged(stmt ast.Statement, sql string, params map[string]types.Value) (*exec.Result, error) {
-	now := s.Now()
-	if loggable(stmt) {
-		// Hold the checkpoint gate across apply+log so Checkpoint never
-		// snapshots a statement whose WAL frame then lands in the new
-		// epoch (it would replay on top of the snapshot).
-		s.db.ckpt.RLock()
-		defer s.db.ckpt.RUnlock()
-	}
-	res, err := s.ExecStmt(stmt, params)
-	if err == nil && loggable(stmt) {
-		logErr := s.db.logStatement(now, sql, params)
-		s.tr.Mark(&s.tr.WAL)
-		if logErr != nil {
-			// Applied in memory but not logged: surface the durability
-			// failure while still handing back the result (see Exec).
-			return res, logErr
-		}
-	}
-	return res, err
 }
 
 // parseCached parses sql through the session's LRU statement cache.
@@ -350,21 +319,84 @@ func (s *Session) CacheStats() (hits, misses uint64) {
 	return s.cache.hits, s.cache.misses
 }
 
-// ExecStmt executes one parsed statement, acquiring the locks it needs
-// (see the package comment for the locking discipline).
-func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*exec.Result, error) {
-	if !s.replApply && s.db.readOnly.Load() && loggable(stmt) {
-		if o := s.db.obs; o.enabled() {
+// errDDLInTxn rejects DDL inside an explicit transaction: DDL is
+// always its own commit unit.
+var errDDLInTxn = errors.New("engine: DDL inside a transaction is not supported")
+
+// run executes one parsed statement: it acquires the locks the
+// statement needs (see locks.go), executes it inside the session's
+// commit unit, and ends an autocommit unit — commit on success. DDL is
+// always a unit of its own; it applies directly under the exclusive
+// catalog lock, so its unit only logs it.
+func (s *Session) run(stmt ast.Statement, sql string, params map[string]types.Value) (*exec.Result, error) {
+	db := s.db
+	o := db.obs
+	write := isDDL(stmt) || isDML(stmt)
+	_, commit := stmt.(*ast.Commit)
+	if !s.replApply && db.readOnly.Load() && write {
+		if o.enabled() {
 			o.errors.Inc()
 		}
 		return nil, ErrReadOnly
 	}
-	unlock := s.lockFor(stmt)
+	if isDDL(stmt) && s.tx != nil {
+		return nil, errDDLInTxn
+	}
+	now := s.Now()
+	if write || commit {
+		// Hold the checkpoint gate across apply+log so Checkpoint never
+		// snapshots a unit whose WAL frame then lands in the new epoch
+		// (it would replay on top of the snapshot).
+		db.ckpt.RLock()
+		defer db.ckpt.RUnlock()
+	}
+	var res *exec.Result
+	var w *wal
+	var walSeq uint64
+	var logErr error
+	unlock, err := s.lockFor(stmt)
 	s.tr.Mark(&s.tr.Lock)
-	defer unlock()
-	res, err := s.execLocked(stmt, params)
-	s.tr.Mark(&s.tr.Exec)
-	if o := s.db.obs; o.enabled() {
+	if err == nil {
+		res, err = s.execLocked(stmt, params)
+		if sw := s.stmtW; sw != nil {
+			sw.EndStmt(err == nil)
+			s.stmtW = nil
+		}
+		s.tr.Mark(&s.tr.Exec)
+		if err == nil && write {
+			if isDDL(stmt) {
+				// Bumped while the catalog lock is still held
+				// exclusively, so a reader never observes a new schema
+				// with an old generation.
+				db.gen.Add(1)
+			}
+			s.record(now, sql, params)
+		}
+		if s.tx == nil && (write || commit) {
+			// The unit ends: an autocommit statement, or COMMIT. It
+			// commits (and logs) under the locks it ran with, so no
+			// unit using a new schema can log ahead of the DDL that
+			// made it.
+			w, walSeq, logErr = s.endUnit(err == nil)
+		}
+		unlock()
+	} else {
+		if errors.Is(err, ErrConflict) {
+			// Wait-die aborted the transaction to break a possible
+			// deadlock: nothing of it survives.
+			s.tx = nil
+		}
+		if s.tx == nil {
+			s.endUnit(false)
+		}
+	}
+	if walSeq != 0 {
+		if err := db.syncFrame(w, walSeq); err != nil && logErr == nil {
+			logErr = err
+		}
+		s.tr.Mark(&s.tr.WAL)
+	}
+	if o.enabled() {
 		o.stmts[stmtKind(stmt)].Inc()
 		switch {
 		case err != nil:
@@ -385,12 +417,12 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 			}
 		}
 	}
-	if err == nil && isDDL(stmt) {
-		// Bumped while the catalog lock is still held exclusively, so a
-		// reader never observes a new schema with an old generation.
-		s.db.gen.Add(1)
+	if err != nil {
+		return res, err
 	}
-	return res, err
+	// Applied in memory even if not logged: surface the durability
+	// failure while still handing back the result (see Exec).
+	return res, logErr
 }
 
 // execLocked dispatches one statement; the caller holds the locks.
@@ -417,20 +449,20 @@ func (s *Session) execLocked(stmt ast.Statement, params map[string]types.Value) 
 			return nil, fmt.Errorf("engine: transaction already open")
 		}
 		s.tx = s.db.tm.Begin()
-		// Pin the reclamation horizon at the version clock: row slots
-		// this transaction's undo log will reference must not be
-		// reused until it ends.
-		s.db.hz.beginTxn(s.tx.ID, s.db.vclock.Load())
 		return &exec.Result{}, nil
 	case *ast.Commit:
 		if s.tx == nil {
 			return nil, fmt.Errorf("engine: no open transaction")
 		}
-		s.db.hz.endTxn(s.tx.ID)
-		s.tx = nil // undo log discarded; changes are already applied
+		s.tx = nil // run publishes the unit
 		return &exec.Result{}, nil
 	case *ast.Rollback:
-		return s.rollback()
+		if s.tx == nil {
+			return nil, fmt.Errorf("engine: no open transaction")
+		}
+		s.tx = nil
+		s.endUnit(false)
+		return &exec.Result{}, nil
 	case *ast.SetNow:
 		return s.setNow(st, params)
 	case *ast.SetTimeout:
@@ -500,7 +532,7 @@ func (s *Session) createTable(st *ast.CreateTable) (*exec.Result, error) {
 	}
 	key := strings.ToLower(st.Name)
 	s.db.tables[key] = exec.NewTable(meta)
-	s.db.locks[key] = &sync.RWMutex{}
+	s.db.locks[key] = &tableLock{}
 	return &exec.Result{}, nil
 }
 
@@ -511,8 +543,8 @@ func (s *Session) dropTable(st *ast.DropTable) (*exec.Result, error) {
 		}
 		return nil, fmt.Errorf("engine: no table %s", st.Name)
 	}
-	if s.tx != nil {
-		return nil, fmt.Errorf("engine: DROP TABLE inside a transaction is not supported")
+	if err := s.checkNoOverlay(st.Name); err != nil {
+		return nil, err
 	}
 	if err := s.db.cat.DropTable(st.Name); err != nil {
 		return nil, err
@@ -530,6 +562,9 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 	pos, ok := tbl.Meta.ColumnIndex(st.Column)
 	if !ok {
 		return nil, fmt.Errorf("engine: no column %s in table %s", st.Column, st.Table)
+	}
+	if err := s.checkNoOverlay(st.Table); err != nil {
+		return nil, err
 	}
 	colType := tbl.Meta.Columns[pos].Type
 	snap := tbl.Snapshot()
@@ -608,6 +643,9 @@ func (s *Session) dropIndex(st *ast.DropIndex) (*exec.Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: no index %s", st.Name)
 	}
+	if err := s.checkNoOverlay(im.Table); err != nil {
+		return nil, err
+	}
 	tbl := s.db.tables[strings.ToLower(im.Table)]
 	pos, _ := tbl.Meta.ColumnIndex(im.Column)
 	snap := tbl.Snapshot()
@@ -666,67 +704,6 @@ func (s *Session) describe(table string) (*exec.Result, error) {
 	}
 	res.Types = []*types.Type{types.TString, types.TString, types.TString, types.TString}
 	return res, nil
-}
-
-func (s *Session) rollback() (*exec.Result, error) {
-	if s.tx == nil {
-		return nil, fmt.Errorf("engine: no open transaction")
-	}
-	tx := s.tx
-	// Bind NOW for the undo-side index maintenance before clearing the
-	// transaction: the original statements indexed under the
-	// transaction time, and undo must format the same keys.
-	now := s.Now()
-	s.tx = nil
-	// One writer per touched table; undo entries apply newest-first
-	// across tables, then every writer publishes. The transaction's
-	// horizon registration stays until the end so the slots its undo
-	// log references were never reused.
-	writers := make(map[string]*exec.TableWriter)
-	discardAll := func() {
-		for _, w := range writers {
-			w.Discard()
-		}
-		s.db.hz.endTxn(tx.ID)
-	}
-	for _, e := range tx.UndoEntries() {
-		key := strings.ToLower(e.Table)
-		tbl, ok := s.db.tables[key]
-		if !ok {
-			discardAll()
-			return nil, fmt.Errorf("engine: rollback references dropped table %s", e.Table)
-		}
-		w, ok := writers[key]
-		if !ok {
-			w = s.beginWrite(tbl)
-			writers[key] = w
-		}
-		// Maintain indexes around the row change.
-		switch e.Op {
-		case txn.OpInsert, txn.OpUpdate:
-			if row, ok := w.Get(e.RowID); ok {
-				w.UnindexRow(e.RowID, row, now)
-			}
-		}
-		if err := txn.Apply(w, e); err != nil {
-			discardAll()
-			return nil, err
-		}
-		switch e.Op {
-		case txn.OpDelete, txn.OpUpdate:
-			if row, ok := w.Get(e.RowID); ok {
-				if err := w.IndexRow(e.RowID, row, now); err != nil {
-					discardAll()
-					return nil, err
-				}
-			}
-		}
-	}
-	for _, w := range writers {
-		w.Commit()
-	}
-	s.db.hz.endTxn(tx.ID)
-	return &exec.Result{}, nil
 }
 
 func (s *Session) setNow(st *ast.SetNow, params map[string]types.Value) (*exec.Result, error) {

@@ -22,9 +22,10 @@ import (
 // the cancellation poll points, which are ordered so a write either
 // applies entirely or not at all (see cancel.go). Exec arms the budget
 // and resets the account per statement; ExecScript does the same per
-// script part. Callers driving ExecStmt directly bypass the arm/reset
-// (exactly as they bypass the timeout timer) — their charges accumulate
-// on the session account until the next Exec resets it.
+// script part. WAL replay and replication apply run statements without
+// the arm/reset (exactly as they bypass the timeout timer) — their
+// charges accumulate on the session account until the next Exec
+// resets it.
 
 // ErrMemory is the typed statement-memory-budget error, re-exported so
 // callers above the engine (server, tools) can classify failures

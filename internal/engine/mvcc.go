@@ -8,68 +8,30 @@ import (
 )
 
 // MVCC bookkeeping. The version clock (Database.vclock) stamps every
-// writer statement; committed writers publish immutable table versions
-// carrying their sequence, and readers pin versions per statement
-// instead of taking table read locks. The horizon tracker knows which
-// old sequences are still reachable — by an open transaction (whose
-// undo log addresses row slots that must not be reused) or by a
-// statement's pinned snapshot (whose hash-index postings must not be
-// reclaimed) — and hands writers the oldest one as their reclamation
-// horizon.
+// writer statement and every commit; a commit publishes immutable table
+// versions carrying its sequence, and readers pin versions per
+// statement instead of taking table read locks. The horizon tracker
+// knows which old sequences in-flight statement snapshots still reach
+// (their dead hash-index postings must not be reclaimed) and hands
+// writers the oldest one as their reclamation horizon.
 
-// horizonTracker records open transactions and in-flight statement
-// snapshots. It is a small mutex-guarded registry, not a lock table:
-// registration never blocks behind any writer, it only serialises map
-// updates.
+// horizonTracker records in-flight statement snapshots. Its latch also
+// orders publication: captureSnaps pins a statement's versions and
+// commits install theirs under it, so a reader never sees a
+// multi-table commit half-installed. It is a short mutex-guarded
+// registry, not a lock table: nothing waits under it.
 type horizonTracker struct {
 	mu      sync.Mutex
-	txns    map[int64]uint64    // open txn id → version clock at begin
 	readers map[*Session]uint64 // in-flight statement → min pinned seq
 }
 
-func newHorizonTracker() *horizonTracker {
-	return &horizonTracker{
-		txns:    make(map[int64]uint64),
-		readers: make(map[*Session]uint64),
-	}
-}
-
-func (h *horizonTracker) beginTxn(id int64, seq uint64) {
-	h.mu.Lock()
-	h.txns[id] = seq
-	h.mu.Unlock()
-}
-
-func (h *horizonTracker) endTxn(id int64) {
-	h.mu.Lock()
-	delete(h.txns, id)
-	h.mu.Unlock()
-}
-
-func (h *horizonTracker) beginRead(s *Session, seq uint64) {
-	h.mu.Lock()
-	h.readers[s] = seq
-	h.mu.Unlock()
-}
-
-func (h *horizonTracker) endRead(s *Session) {
-	h.mu.Lock()
-	delete(h.readers, s)
-	h.mu.Unlock()
-}
-
-// min returns the oldest sequence still reachable, or cur when nothing
-// is registered. Sessions register one statement at a time, so both
-// maps stay small.
+// min returns the oldest sequence still reachable, or cur when no
+// registered statement reaches below it. Sessions register one
+// statement at a time, so the map stays small.
 func (h *horizonTracker) min(cur uint64) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	m := cur
-	for _, seq := range h.txns {
-		if seq < m {
-			m = seq
-		}
-	}
 	for _, seq := range h.readers {
 		if seq < m {
 			m = seq
@@ -78,48 +40,43 @@ func (h *horizonTracker) min(cur uint64) uint64 {
 	return m
 }
 
-// beginWrite opens a table writer stamped with a fresh version-clock
-// sequence. The caller must hold the table's write lock (or the
-// catalog lock exclusively).
+// beginWrite opens the current statement's writer on tbl, inside the
+// unit's overlay for it, stamped with a fresh version-clock sequence.
+// The unit must hold the table's write lock.
 //
-// The reclamation horizon is capped at seq-1, strictly below the
-// writer's own sequence: state this statement itself kills (hash
-// postings, freed slots) is stamped seq and must survive until Commit,
-// because Discard has to find and revert it. In fine-grained locking
-// mode captureSnaps has already registered the session below seq, but
-// coarse mode (and internal paths under exclusive locks) may reach
-// here with nothing registered, where an uncapped hz.min(seq) would
-// let Add's opportunistic GC drop a posting the in-flight statement
-// just killed.
+// The reclamation horizon is capped below the unit's first sequence:
+// hash postings an earlier statement of the transaction killed are
+// stamped with that statement's sequence and must survive until COMMIT
+// or ROLLBACK, because rollback has to find and revert them.
 func (s *Session) beginWrite(tbl *exec.Table) *exec.TableWriter {
-	seq := s.db.vclock.Add(1)
-	return tbl.BeginWrite(seq, s.db.hz.min(seq-1))
-}
-
-// snap returns the version of tbl the current statement pinned, or the
-// latest published version when the statement captured none (coarse
-// locking mode, or internal paths running under exclusive locks).
-func (s *Session) snap(tbl *exec.Table) *exec.TableVersion {
-	if v, ok := s.snaps[strings.ToLower(tbl.Meta.Name)]; ok {
-		return v
+	key := strings.ToLower(tbl.Meta.Name)
+	w, ok := s.u.writes[key]
+	if !ok {
+		w = tbl.BeginWrite()
+		if s.u.writes == nil {
+			s.u.writes = make(map[string]*exec.TableWriter)
+		}
+		s.u.writes[key] = w
 	}
-	return tbl.Snapshot()
+	seq := s.db.vclock.Add(1)
+	if s.u.firstSeq == 0 {
+		s.u.firstSeq = seq
+	}
+	w.BeginStmt(seq, s.db.hz.min(s.u.firstSeq-1))
+	s.stmtW = w
+	return w
 }
 
 // captureSnaps pins a consistent set of table versions for the named
 // footprint tables (lower-cased; unknown names are skipped) and
 // registers the statement with the horizon tracker so no writer
-// reclaims state these snapshots can still see.
-//
-// Registration must cover the pinned sequences before any writer can
-// consult the horizon, but the value to register is only known after
-// pinning — so the capture validates: pin, register the minimum pinned
-// sequence, then re-load each table's latest version and retry if any
-// advanced in between. Once a pass is stable, every later reclamation
-// decision sees this statement's registration, and anything it drops
-// (died ≤ horizon ≤ our pinned seqs) was already invisible to these
-// snapshots. The caller must hold the catalog lock at least shared and
-// must call releaseSnaps when the statement finishes.
+// reclaims state these snapshots can still see. A table the session's
+// unit writes is pinned at its overlay, so a transaction reads its own
+// writes. Pinning and registration happen under the tracker's latch,
+// which commits also install under, so the pinned set is one commit
+// boundary and every later reclamation decision sees the registration.
+// The caller must hold the catalog lock at least shared and must call
+// releaseSnaps when the statement finishes.
 func (s *Session) captureSnaps(names []string) {
 	if len(names) == 0 {
 		return
@@ -127,34 +84,26 @@ func (s *Session) captureSnaps(names []string) {
 	if s.snaps == nil {
 		s.snaps = make(map[string]*exec.TableVersion, len(names))
 	}
-	for {
-		minSeq := s.db.vclock.Load()
-		for _, name := range names {
-			tbl, ok := s.db.tables[name]
-			if !ok {
-				continue
-			}
-			v := tbl.Snapshot()
-			s.snaps[name] = v
-			if v.Seq < minSeq {
-				minSeq = v.Seq
-			}
+	h := s.db.hz
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	minSeq := s.db.vclock.Load()
+	for _, name := range names {
+		tbl, ok := s.db.tables[name]
+		if !ok {
+			continue
 		}
-		if len(s.snaps) == 0 {
-			return
+		v := tbl.Snapshot()
+		if w, ok := s.u.writes[name]; ok {
+			v = w.Version()
 		}
-		s.db.hz.beginRead(s, minSeq)
-		stable := true
-		for name, v := range s.snaps {
-			if s.db.tables[name].Snapshot() != v {
-				stable = false
-				break
-			}
+		s.snaps[name] = v
+		if v.Seq < minSeq {
+			minSeq = v.Seq
 		}
-		if stable {
-			return
-		}
-		s.db.hz.endRead(s)
+	}
+	if len(s.snaps) > 0 {
+		h.readers[s] = minSeq
 	}
 }
 
@@ -164,19 +113,18 @@ func (s *Session) releaseSnaps() {
 	if len(s.snaps) == 0 {
 		return
 	}
-	s.db.hz.endRead(s)
-	for name := range s.snaps {
-		delete(s.snaps, name)
-	}
+	h := s.db.hz
+	h.mu.Lock()
+	delete(h.readers, s)
+	h.mu.Unlock()
+	clear(s.snaps)
 }
 
-// Close releases the session's engine-side registrations. An abandoned
-// open transaction stops pinning the reclamation horizon (its applied
-// changes remain; there is no implicit rollback). Safe to call more
-// than once; the session must not be used afterwards.
+// Close releases the session's engine-side state. An open transaction
+// is rolled back: its overlays are dropped and its table locks
+// released, exactly as ROLLBACK would. Safe to call more than once; the
+// session must not be used afterwards.
 func (s *Session) Close() {
-	if s.tx != nil {
-		s.db.hz.endTxn(s.tx.ID)
-		s.tx = nil
-	}
+	s.endUnit(false)
+	s.tx = nil
 }

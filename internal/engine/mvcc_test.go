@@ -49,7 +49,7 @@ func TestMVCCScanSeesOldVersionAfterUpdate(t *testing.T) {
 	mvccExec(t, s1, `CREATE TABLE t (a INT)`)
 	mvccExec(t, s1, `INSERT INTO t VALUES (1), (2), (3)`)
 
-	release := s1.lockTables([]string{"t"}, nil)
+	release, _ := s1.lockTables([]string{"t"}, nil)
 	snap := s1.snaps["t"]
 	if snap == nil {
 		t.Fatal("statement did not pin a snapshot")
@@ -76,10 +76,10 @@ func TestMVCCScanSeesOldVersionAfterUpdate(t *testing.T) {
 	}
 }
 
-// TestMVCCScanSeesPreRollbackVersion pins a snapshot of a transaction's
-// applied-but-uncommitted state; ROLLBACK publishes the reverted
-// version, and the pinned snapshot must keep serving the pre-rollback
-// rows.
+// TestMVCCScanSeesPreRollbackVersion pins a snapshot while another
+// session's transaction holds an uncommitted UPDATE. The snapshot must
+// serve the committed rows — the transaction's overlay is private —
+// both before and after the ROLLBACK drops it.
 func TestMVCCScanSeesPreRollbackVersion(t *testing.T) {
 	db, s1 := newMVCCDB(t)
 	mvccExec(t, s1, `CREATE TABLE t (a INT)`)
@@ -89,7 +89,7 @@ func TestMVCCScanSeesPreRollbackVersion(t *testing.T) {
 	mvccExec(t, s2, `BEGIN`)
 	mvccExec(t, s2, `UPDATE t SET a = a + 10`)
 
-	release := s1.lockTables([]string{"t"}, nil)
+	release, _ := s1.lockTables([]string{"t"}, nil)
 	snap := s1.snaps["t"]
 	mvccExec(t, s2, `ROLLBACK`)
 
@@ -99,100 +99,32 @@ func TestMVCCScanSeesPreRollbackVersion(t *testing.T) {
 		return true
 	})
 	release()
-	if sum != 23 { // 11 + 12: the pre-rollback state
-		t.Fatalf("pinned snapshot sum = %d, want 23", sum)
+	if sum != 3 { // 1 + 2: the committed state, never the overlay's 23
+		t.Fatalf("pinned snapshot sum = %d, want 3", sum)
 	}
 	res := mvccExec(t, s1, `SELECT COUNT(*) FROM t WHERE a < 10`)
 	if res.Rows[0][0].Int() != 2 {
-		t.Fatal("rollback did not restore the original rows")
+		t.Fatal("rollback did not leave the original rows")
 	}
 }
 
-// TestMVCCInsertAtRollbackTargetsSlot opens a transaction, deletes a
-// row, lets another session insert into the same table, and rolls back:
-// the horizon gate must have kept the deleted slot unused so InsertAt
-// revives exactly it, and the concurrent insert must survive.
-func TestMVCCInsertAtRollbackTargetsSlot(t *testing.T) {
-	db, s1 := newMVCCDB(t)
-	mvccExec(t, s1, `CREATE TABLE t (a INT)`)
-	mvccExec(t, s1, `INSERT INTO t VALUES (0), (1), (2)`)
-
-	mvccExec(t, s1, `BEGIN`)
-	mvccExec(t, s1, `DELETE FROM t WHERE a = 1`) // frees slot 1 inside the txn
-
-	s2 := db.NewSession()
-	mvccExec(t, s2, `INSERT INTO t VALUES (7)`) // must not reuse slot 1
-
-	snap := db.tables["t"].Snapshot()
-	if _, ok := snap.Rows.Get(1); ok {
-		t.Fatal("slot 1 was reused while the deleting transaction was open")
-	}
-	if snap.Rows.Capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4 (new slot for the concurrent insert)", snap.Rows.Capacity())
-	}
-
-	mvccExec(t, s1, `ROLLBACK`)
-	snap = db.tables["t"].Snapshot()
-	r, ok := snap.Rows.Get(1)
-	if !ok || r[0].Int() != 1 {
-		t.Fatalf("slot 1 after rollback = %v, %v; want the restored row (1)", r, ok)
-	}
-	res := mvccExec(t, s1, `SELECT COUNT(*) FROM t`)
-	if res.Rows[0][0].Int() != 4 {
-		t.Fatalf("rows after rollback = %d, want 4", res.Rows[0][0].Int())
-	}
-}
-
-// TestMVCCStaleFreeEntryRollback is the regression test for the stale
-// free-list entry bug: a slot deleted, revived by rollback, and deleted
-// again by a second (still open) transaction leaves the first death's
-// free entry queued with a stamp already behind the horizon. A
-// concurrent insert must not reuse the slot off that stale entry — the
-// open transaction's rollback has to find its slot still dead, or the
-// whole rollback aborts with its changes left applied.
-func TestMVCCStaleFreeEntryRollback(t *testing.T) {
-	db, s1 := newMVCCDB(t)
-	mvccExec(t, s1, `CREATE TABLE t (a INT)`)
-	mvccExec(t, s1, `INSERT INTO t VALUES (0), (1), (2)`)
-
-	mvccExec(t, s1, `BEGIN`)
-	mvccExec(t, s1, `DELETE FROM t WHERE a = 1`) // frees slot 1, stamp d
-	mvccExec(t, s1, `ROLLBACK`)                  // revives slot 1; {1, d} goes stale
-
-	mvccExec(t, s1, `BEGIN`)
-	mvccExec(t, s1, `DELETE FROM t WHERE a = 1`) // frees slot 1 again, stamp n > d
-
-	s2 := db.NewSession()
-	mvccExec(t, s2, `INSERT INTO t VALUES (7)`) // d is behind the horizon; n is not
-
-	snap := db.tables["t"].Snapshot()
-	if _, ok := snap.Rows.Get(1); ok {
-		t.Fatal("stale free entry handed slot 1 out under the open transaction")
-	}
-	mvccExec(t, s1, `ROLLBACK`) // InsertAt must find slot 1 still dead
-	res := mvccExec(t, s1, `SELECT COUNT(*) FROM t`)
-	if res.Rows[0][0].Int() != 4 {
-		t.Fatalf("rows after rollback = %d, want 4", res.Rows[0][0].Int())
-	}
-	if r, ok := db.tables["t"].Snapshot().Rows.Get(1); !ok || r[0].Int() != 1 {
-		t.Fatalf("slot 1 after rollback = %v, %v; want the restored row (1)", r, ok)
-	}
-}
-
-// TestMVCCCoarseDiscardKeepsPostings runs a failing multi-row UPDATE in
-// coarse-locking mode, where nothing is registered with the horizon
-// tracker. The statement kills and re-adds hash postings row by row
-// before erroring; an uncapped reclamation horizon used to let the
-// re-add physically drop the posting the statement itself just killed,
-// so the discard could not revive it and the surviving row silently
-// vanished from equality lookups.
-func TestMVCCCoarseDiscardKeepsPostings(t *testing.T) {
-	db, s := newMVCCDB(t)
-	db.SetCoarseLocking(true)
+// TestMVCCTxnDiscardKeepsPostings runs a failing multi-row UPDATE as
+// the second statement of a transaction and then rolls back. The
+// failing statement kills and re-adds hash postings row by row before
+// erroring; a reclamation horizon at or above the transaction's first
+// statement would let its re-adds physically drop the posting the
+// first statement killed, so the ROLLBACK could not revive it and the
+// row silently vanished from equality lookups.
+func TestMVCCTxnDiscardKeepsPostings(t *testing.T) {
+	_, s := newMVCCDB(t)
 	mvccExec(t, s, `CREATE TABLE t (k VARCHAR(8), v INT)`)
 	mvccExec(t, s, `INSERT INTO t VALUES ('a', 1), ('a', 0)`)
 	mvccExec(t, s, `CREATE INDEX t_k ON t (k)`)
 
+	mvccExec(t, s, `BEGIN`)
+	// Kills row 0's original posting and re-adds it, stamped with the
+	// transaction's first sequence.
+	mvccExec(t, s, `UPDATE t SET v = v + 1 WHERE v = 1`)
 	// Row 0 updates cleanly (unindex + reindex under 'a'); row 1 then
 	// divides by zero, discarding the statement.
 	if _, err := s.Exec(`UPDATE t SET v = 10 / v`, nil); err == nil {
@@ -201,6 +133,11 @@ func TestMVCCCoarseDiscardKeepsPostings(t *testing.T) {
 	res := mvccExec(t, s, `SELECT COUNT(*) FROM t WHERE k = 'a'`)
 	if res.Rows[0][0].Int() != 2 {
 		t.Fatalf("equality lookup after discarded UPDATE = %d rows, want 2", res.Rows[0][0].Int())
+	}
+	mvccExec(t, s, `ROLLBACK`)
+	res = mvccExec(t, s, `SELECT COUNT(*) FROM t WHERE k = 'a' AND v < 2`)
+	if res.Rows[0][0].Int() != 2 {
+		t.Fatalf("equality lookup after ROLLBACK = %d rows, want 2", res.Rows[0][0].Int())
 	}
 }
 
@@ -213,8 +150,8 @@ func TestMVCCReadersOffLockTable(t *testing.T) {
 	mvccExec(t, s1, `CREATE TABLE x (a INT)`)
 	mvccExec(t, s1, `INSERT INTO x VALUES (1), (2)`)
 
-	db.locks["x"].Lock() // a writer statement is "in flight" on x
-	defer db.locks["x"].Unlock()
+	db.locks["x"].tryAcquire(autocommitTicket) // a writer is "in flight" on x
+	defer db.locks["x"].release()
 
 	done := make(chan error, 1)
 	go func() {
@@ -409,8 +346,9 @@ func TestMVCCNoGoroutineLeak(t *testing.T) {
 }
 
 // TestMVCCSessionCloseReleasesHorizon checks an abandoned open
-// transaction stops pinning the reclamation horizon once its session is
-// closed, so churn after the close reuses slots again.
+// transaction releases everything it pinned once its session is
+// closed: its table lock (another session's write proceeds), its
+// overlay (its row never appears) and any horizon registration.
 func TestMVCCSessionCloseReleasesHorizon(t *testing.T) {
 	db, s := newMVCCDB(t)
 	mvccExec(t, s, `CREATE TABLE t (a INT)`)
@@ -421,10 +359,15 @@ func TestMVCCSessionCloseReleasesHorizon(t *testing.T) {
 	mvccExec(t, zombie, `INSERT INTO t VALUES (2)`)
 	zombie.Close() // connection died without COMMIT/ROLLBACK
 
+	mvccExec(t, s, `INSERT INTO t VALUES (3)`) // would block on a leaked lock
+	res := mvccExec(t, s, `SELECT COUNT(*) FROM t WHERE a = 2`)
+	if n := res.Rows[0][0].Int(); n != 0 {
+		t.Fatalf("abandoned transaction's row visible after Close: %d", n)
+	}
 	db.hz.mu.Lock()
-	open := len(db.hz.txns)
+	open := len(db.hz.readers)
 	db.hz.mu.Unlock()
 	if open != 0 {
-		t.Fatalf("%d transactions still pin the horizon after Close", open)
+		t.Fatalf("%d registrations still pin the horizon after Close", open)
 	}
 }

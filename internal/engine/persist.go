@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"tip/internal/catalog"
 	"tip/internal/exec"
@@ -197,7 +196,7 @@ func (db *Database) loadSnapshot(data []byte, replace bool) error {
 		reg:    db.reg,
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
-		locks:  make(map[string]*sync.RWMutex),
+		locks:  make(map[string]*tableLock),
 		tm:     db.tm,
 		obs:    db.obs,
 	}
@@ -283,13 +282,13 @@ func (db *Database) decodeSnapshot(data []byte) (uint64, error) {
 		}
 		tbl := exec.NewTable(meta)
 		db.tables[strings.ToLower(name)] = tbl
-		db.locks[strings.ToLower(name)] = &sync.RWMutex{}
+		db.locks[strings.ToLower(name)] = &tableLock{}
 		rowCount, rest, err := readUvarint(data)
 		if err != nil {
 			return 0, err
 		}
 		data = rest
-		b := storage.NewVersion().NewBuilder(0, 0)
+		b := storage.NewVersion().NewBuilder()
 		for range rowCount {
 			row := make(exec.Row, len(cols))
 			for i, c := range cols {

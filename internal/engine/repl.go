@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Replica-side engine support. A replica database is an ordinary
 // engine.Database switched read-only: client sessions can run queries
@@ -18,25 +15,29 @@ import (
 var ErrReadOnly = errors.New("engine: read-only replica: writes must go to the primary")
 
 // SetReadOnly switches the database in or out of read-only mode. In
-// read-only mode, loggable statements (DDL, DML, transaction control)
-// from ordinary sessions fail with ErrReadOnly; the replication apply
-// session (NewReplicaSession) is exempt.
+// read-only mode, writing statements (DDL, DML) from ordinary sessions
+// fail with ErrReadOnly; the replication apply session
+// (NewReplicaSession) is exempt.
 func (db *Database) SetReadOnly(on bool) { db.readOnly.Store(on) }
 
 // ReadOnly reports whether the database is in read-only replica mode.
 func (db *Database) ReadOnly() bool { return db.readOnly.Load() }
 
-// NewReplicaSession opens the replication apply session: the one
-// session allowed to change state on a read-only replica. The caller
-// (internal/repl) serialises all use of it.
+// NewReplicaSession opens a session that applies already-logged units:
+// the replication apply session, the one session allowed to change
+// state on a read-only replica (WAL replay uses one too). It never
+// logs. The caller (internal/repl) serialises all use of it.
 func (db *Database) NewReplicaSession() *Session {
-	return &Session{db: db, replApply: true}
+	s := db.NewSession()
+	s.replApply = true
+	return s
 }
 
 // ApplyWALPayload re-executes one shipped WAL frame payload (the bytes
-// after the frame header) on the replica, under the statement's
-// original NOW. The session must come from NewReplicaSession and frames
-// must be applied in seq order — the caller owns that bookkeeping.
+// after the frame header) on the replica: one committed unit, under
+// each statement's original NOW, published as one commit. The session
+// must come from NewReplicaSession and frames must be applied in seq
+// order — the caller owns that bookkeeping.
 func (s *Session) ApplyWALPayload(payload []byte) error {
 	return s.db.replayRecord(s, payload)
 }
@@ -44,26 +45,13 @@ func (s *Session) ApplyWALPayload(payload []byte) error {
 // ReplicationSnapshot encodes a consistent snapshot for replica
 // bootstrap and returns it with the epoch it carries and the WAL seq it
 // reflects: a replica that loads the data and subscribes from seq sees
-// every statement exactly once. Writers are quiesced on the checkpoint
-// gate while the position is read and the tables encoded, so no
-// statement straddles the snapshot and its WAL frame.
-//
-// An open transaction's applied-so-far statements are inside the
-// snapshot but its undo log is not, so a later ROLLBACK frame could not
-// be honoured by the bootstrapping replica; the snapshot therefore
-// briefly waits for open transactions to finish. If one stays open past
-// the wait the snapshot proceeds — a replica that then fails to apply a
-// ROLLBACK re-bootstraps, which heals the divergence.
+// every committed unit exactly once. Writers are quiesced on the
+// checkpoint gate while the position is read and the tables encoded,
+// so no unit straddles the snapshot and its WAL frame. Open
+// transactions need no special care: their writes are neither in the
+// published versions nor in the log until their COMMIT frame.
 func (db *Database) ReplicationSnapshot() (epoch, seq uint64, data []byte) {
-	deadline := time.Now().Add(time.Second)
-	for {
-		db.ckpt.Lock()
-		if db.hz.openTxns() == 0 || time.Now().After(deadline) {
-			break
-		}
-		db.ckpt.Unlock()
-		time.Sleep(time.Millisecond)
-	}
+	db.ckpt.Lock()
 	defer db.ckpt.Unlock()
 	db.mu.RLock()
 	epoch = db.epoch
@@ -85,11 +73,4 @@ func (db *Database) ReplicationSnapshot() (epoch, seq uint64, data []byte) {
 // while a WAL is enabled — a replica's durability is the primary's.
 func (db *Database) LoadReplicaSnapshot(data []byte) error {
 	return db.loadSnapshot(data, true)
-}
-
-// openTxns reports how many transactions are currently open.
-func (h *horizonTracker) openTxns() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.txns)
 }

@@ -19,15 +19,17 @@ import (
 	"tip/internal/types"
 )
 
-// Statement-level write-ahead logging. Between snapshots, every
-// successful state-changing statement (DDL, DML, transaction control)
-// is appended to the log together with the NOW it executed under, so a
-// restart can replay it with identical temporal semantics. Checkpoint
-// writes a snapshot and truncates the log.
+// Commit-unit write-ahead logging. Between snapshots, every committed
+// unit is appended to the log as one frame: an autocommit statement
+// (DDL or DML) is a unit of one, an explicit transaction is every
+// statement that succeeded between its BEGIN and COMMIT. Each statement
+// carries the NOW it executed under, so a restart can replay it with
+// identical temporal semantics. BEGIN and ROLLBACK are never logged:
+// uncommitted work never reaches the log, so there is nothing to undo
+// at recovery. Checkpoint writes a snapshot and truncates the log.
 //
 // The log is a redo log of statements, not of row changes: replay
-// re-executes the SQL. A transaction left open at the end of the log
-// (crash mid-transaction) is rolled back after replay.
+// re-executes the SQL, a multi-statement unit as one transaction.
 //
 // Frame layout (length-prefixed, checksummed, epoch-stamped):
 //
@@ -36,7 +38,8 @@ import (
 //	uvarint epoch   — durability epoch; frames older than the
 //	                  snapshot's epoch are skipped at replay
 //	uvarint seq     — frame sequence number, consecutive within a log
-//	payload: int64 now, str sql, uvarint nParams,
+//	payload: uvarint nStmts, then per statement:
+//	         int64 now, str sql, uvarint nParams,
 //	         (str name, str typeName, value)*  — names sorted, so
 //	         identical runs produce byte-identical logs
 //
@@ -50,7 +53,7 @@ import (
 //
 // Durability is a policy (SetDurability): SyncOnCheckpoint flushes to
 // the OS on every append and fsyncs only at Checkpoint (an OS crash can
-// lose the tail); SyncEveryAppend fsyncs before the statement returns,
+// lose the tail); SyncEveryAppend fsyncs before the commit returns,
 // with concurrent appenders sharing one fsync (group commit);
 // SyncGrouped bounds the loss window to an interval by fsyncing from a
 // background syncer.
@@ -127,7 +130,7 @@ type wal struct {
 // everything before the damaged frame and stops.
 var ErrWAL = errors.New("engine: corrupt WAL")
 
-// ErrWALFailed reports that a statement applied in memory but could not
+// ErrWALFailed reports that a unit committed in memory but could not
 // be appended to the WAL (or, under SyncEveryAppend, not fsynced). The
 // statement's result is still returned to the caller; the log stops
 // growing so it remains a consistent prefix. Checkpoint clears the
@@ -335,24 +338,17 @@ func (db *Database) Checkpoint(snapshotPath string) error {
 	return nil
 }
 
-// loggable reports whether a statement changes database state and must
-// be redone at recovery.
-func loggable(stmt ast.Statement) bool {
-	switch stmt.(type) {
-	case *ast.CreateTable, *ast.DropTable, *ast.CreateIndex, *ast.DropIndex,
-		*ast.Insert, *ast.Update, *ast.Delete,
-		*ast.Begin, *ast.Commit, *ast.Rollback:
-		return true
-	default:
-		return false
-	}
+// walStmt is one logged statement of a unit.
+type walStmt struct {
+	now    temporal.Chronon
+	sql    string
+	params map[string]types.Value
 }
 
-// encodeWALPayload serializes one statement. Parameter names are
-// sorted so identical runs produce byte-identical logs (map iteration
-// order must not leak into the file).
-func encodeWALPayload(now temporal.Chronon, sql string, params map[string]types.Value) []byte {
-	var buf []byte
+// appendWALStmt serializes one statement onto a unit payload.
+// Parameter names are sorted so identical runs produce byte-identical
+// logs (map iteration order must not leak into the file).
+func appendWALStmt(buf []byte, now temporal.Chronon, sql string, params map[string]types.Value) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(now))
 	buf = appendString(buf, sql)
 	buf = binary.AppendUvarint(buf, uint64(len(params)))
@@ -426,16 +422,13 @@ func decodeWALFrame(body []byte) (walFrame, error) {
 	return walFrame{epoch: epoch, seq: seq, payload: rest[n:]}, nil
 }
 
-// logStatement appends one executed statement to the WAL and, under
-// SyncEveryAppend, fsyncs before returning.
-func (db *Database) logStatement(now temporal.Chronon, sql string, params map[string]types.Value) error {
-	db.mu.RLock()
-	w := db.wal
-	db.mu.RUnlock()
+// appendFrame appends one committed unit's payload to w as the next
+// frame and publishes it to the replication subscribers. It returns
+// the frame's seq for syncFrame; nil w (no WAL) logs nothing.
+func (db *Database) appendFrame(w *wal, payload []byte) (uint64, error) {
 	if w == nil {
-		return nil
+		return 0, nil
 	}
-	payload := encodeWALPayload(now, sql, params)
 	obsOn := db.obs.enabled()
 	seq, size, err := func() (uint64, int, error) {
 		w.mu.Lock()
@@ -467,36 +460,42 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 		if obsOn {
 			db.obs.walFailures.Inc()
 		}
-		return err
+		return 0, err
 	}
 	if obsOn {
 		db.obs.walAppends.Inc()
 		db.obs.walBytes.Add(uint64(size))
 	}
-	if SyncPolicy(db.syncPolicy.Load()) == SyncEveryAppend {
-		if err := db.walSyncTo(w, seq); err != nil {
-			w.mu.Lock()
-			if w.failed == nil {
-				w.failed = err
-			}
-			w.mu.Unlock()
-			if obsOn {
-				db.obs.walFailures.Inc()
-			}
-			return fmt.Errorf("%w: fsync: %v", ErrWALFailed, err)
+	return seq, nil
+}
+
+// syncFrame makes frame seq durable before the commit returns when the
+// policy is SyncEveryAppend.
+func (db *Database) syncFrame(w *wal, seq uint64) error {
+	if seq == 0 || SyncPolicy(db.syncPolicy.Load()) != SyncEveryAppend {
+		return nil
+	}
+	if err := db.walSyncTo(w, seq); err != nil {
+		w.mu.Lock()
+		if w.failed == nil {
+			w.failed = err
 		}
+		w.mu.Unlock()
+		if db.obs.enabled() {
+			db.obs.walFailures.Inc()
+		}
+		return fmt.Errorf("%w: fsync: %v", ErrWALFailed, err)
 	}
 	return nil
 }
 
-// ReplayWAL re-executes the statements logged in path against this
-// database (typically right after loading the matching snapshot).
-// Frames are streamed through a bounded buffer, so recovery memory
-// scales with the largest record, not the log size. Each statement runs
-// under the NOW it originally executed with; frames from an epoch older
-// than the loaded snapshot's are skipped (they are already inside the
-// snapshot). A transaction still open at the end of the log is rolled
-// back. A truncated trailing record (torn write at crash) ends replay
+// ReplayWAL re-executes the units logged in path against this database
+// (typically right after loading the matching snapshot). Frames are
+// streamed through a bounded buffer, so recovery memory scales with the
+// largest record, not the log size. Each statement runs under the NOW
+// it originally executed with; frames from an epoch older than the
+// loaded snapshot's are skipped (they are already inside the snapshot).
+// A truncated trailing record (torn write at crash) ends replay
 // cleanly; a checksum mismatch or sequence gap stops replay at the last
 // valid frame and surfaces ErrWAL.
 func (db *Database) ReplayWAL(path string) error {
@@ -527,13 +526,7 @@ func (db *Database) ReplayWALRange(path string, afterSeq, upToSeq uint64) error 
 	snapEpoch := db.epoch
 	db.mu.RUnlock()
 
-	sess := db.NewSession()
-	defer func() {
-		if sess.InTransaction() {
-			_, _ = sess.ExecStmt(&ast.Rollback{}, nil)
-		}
-		sess.nowOverride = nil
-	}()
+	sess := db.NewReplicaSession()
 
 	r := bufio.NewReaderSize(f, 64<<10)
 	var (
@@ -618,79 +611,97 @@ func (db *Database) finishReplay(maxEpoch, firstSeq, lastSeq uint64, haveSeq boo
 	return nil
 }
 
-// decodeWALPayload parses a frame payload into the statement's original
-// NOW, SQL text and parameters. Type names resolve through reg.
-func decodeWALPayload(reg *blade.Registry, rec []byte) (temporal.Chronon, string, map[string]types.Value, error) {
-	if len(rec) < 8 {
-		return 0, "", nil, fmt.Errorf("%w: short record", ErrWAL)
-	}
-	now := temporal.Chronon(binary.LittleEndian.Uint64(rec))
-	rec = rec[8:]
-	sql, rec, err := readString(rec)
-	if err != nil {
-		return 0, "", nil, fmt.Errorf("%w: %v", ErrWAL, err)
-	}
-	nParams, k := binary.Uvarint(rec)
-	if k <= 0 {
-		return 0, "", nil, fmt.Errorf("%w: param count", ErrWAL)
+// decodeWALPayload parses a frame payload into the unit's statements,
+// each with its original NOW, SQL text and parameters. Type names
+// resolve through reg.
+func decodeWALPayload(reg *blade.Registry, rec []byte) ([]walStmt, error) {
+	n, k := binary.Uvarint(rec)
+	if k <= 0 || n == 0 || n > uint64(len(rec)) {
+		return nil, fmt.Errorf("%w: statement count", ErrWAL)
 	}
 	rec = rec[k:]
-	if nParams > uint64(len(rec)) {
-		return 0, "", nil, fmt.Errorf("%w: param count %d", ErrWAL, nParams)
-	}
-	var params map[string]types.Value
-	if nParams > 0 {
-		params = make(map[string]types.Value, nParams)
-	}
-	for range nParams {
-		var name, tname string
-		if name, rec, err = readString(rec); err != nil {
-			return 0, "", nil, fmt.Errorf("%w: %v", ErrWAL, err)
+	stmts := make([]walStmt, n)
+	for i := range stmts {
+		st := &stmts[i]
+		if len(rec) < 8 {
+			return nil, fmt.Errorf("%w: short record", ErrWAL)
 		}
-		if tname, rec, err = readString(rec); err != nil {
-			return 0, "", nil, fmt.Errorf("%w: %v", ErrWAL, err)
+		st.now = temporal.Chronon(binary.LittleEndian.Uint64(rec))
+		var err error
+		if st.sql, rec, err = readString(rec[8:]); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrWAL, err)
 		}
-		t := types.TNull
-		if tname != "" {
-			var ok bool
-			if t, ok = reg.LookupType(tname); !ok {
-				return 0, "", nil, fmt.Errorf("%w: unknown type %s", ErrWAL, tname)
+		nParams, k := binary.Uvarint(rec)
+		if k <= 0 || nParams > uint64(len(rec)) {
+			return nil, fmt.Errorf("%w: param count", ErrWAL)
+		}
+		rec = rec[k:]
+		if nParams > 0 {
+			st.params = make(map[string]types.Value, nParams)
+		}
+		for range nParams {
+			var name, tname string
+			if name, rec, err = readString(rec); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrWAL, err)
 			}
-		}
-		var v types.Value
-		if t.Kind == types.KindNull {
-			if len(rec) < 1 {
-				return 0, "", nil, fmt.Errorf("%w: null value", ErrWAL)
+			if tname, rec, err = readString(rec); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrWAL, err)
 			}
-			v, rec = types.NewNull(types.TNull), rec[1:]
-		} else {
-			if v, rec, err = types.DecodeValue(t, rec); err != nil {
-				return 0, "", nil, fmt.Errorf("%w: %v", ErrWAL, err)
+			t := types.TNull
+			if tname != "" {
+				var ok bool
+				if t, ok = reg.LookupType(tname); !ok {
+					return nil, fmt.Errorf("%w: unknown type %s", ErrWAL, tname)
+				}
 			}
+			var v types.Value
+			if t.Kind == types.KindNull {
+				if len(rec) < 1 {
+					return nil, fmt.Errorf("%w: null value", ErrWAL)
+				}
+				v, rec = types.NewNull(types.TNull), rec[1:]
+			} else if v, rec, err = types.DecodeValue(t, rec); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrWAL, err)
+			}
+			st.params[name] = v
 		}
-		params[name] = v
 	}
 	if len(rec) != 0 {
-		return 0, "", nil, fmt.Errorf("%w: trailing bytes in record", ErrWAL)
+		return nil, fmt.Errorf("%w: trailing bytes in record", ErrWAL)
 	}
-	return now, sql, params, nil
+	return stmts, nil
 }
 
+// replayRecord applies one logged unit through sess, a replica session
+// (exempt from the read-only gate; it never logs). A multi-statement
+// unit runs as one transaction, so readers of the replaying database
+// never see it half-applied either. Crash recovery and replica apply
+// share this path.
 func (db *Database) replayRecord(sess *Session, rec []byte) error {
-	now, sql, params, err := decodeWALPayload(db.reg, rec)
+	stmts, err := decodeWALPayload(db.reg, rec)
 	if err != nil {
 		return err
 	}
-	// Replay under the original NOW so NOW-relative semantics match.
-	// Parsing goes through the session cache: a replica applying a
-	// stream of repeated statements pays the parser once per shape.
-	sess.nowOverride = &now
-	stmt, err := sess.parseCached(sql)
-	if err != nil {
-		return fmt.Errorf("engine: wal replay of %q: %w", sql, err)
+	if len(stmts) > 1 {
+		sess.tx = db.tm.Begin()
 	}
-	if _, err := sess.ExecStmt(stmt, params); err != nil {
-		return fmt.Errorf("engine: wal replay of %q: %w", sql, err)
+	for _, st := range stmts {
+		// Replay under the original NOW so NOW-relative semantics match.
+		// Parsing goes through the session cache: a replica applying a
+		// stream of repeated statements pays the parser once per shape.
+		sess.nowOverride = &st.now
+		stmt, err := sess.parseCached(st.sql)
+		if err == nil {
+			_, err = sess.run(stmt, st.sql, st.params)
+		}
+		if err != nil {
+			sess.Close()
+			return fmt.Errorf("engine: wal replay of %q: %w", st.sql, err)
+		}
 	}
-	return nil
+	if sess.tx != nil {
+		_, err = sess.run(&ast.Commit{}, "COMMIT", nil)
+	}
+	sess.nowOverride = nil
+	return err
 }

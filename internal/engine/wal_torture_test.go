@@ -14,6 +14,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -434,5 +435,132 @@ func TestWALDeterministicBytes(t *testing.T) {
 	b := runOnce(filepath.Join(dir, "b.log"))
 	if string(a) != string(b) {
 		t.Fatal("identical runs produced different WAL bytes")
+	}
+}
+
+// TestCrashTortureInterleavedTxns runs seeded random scripts that
+// interleave three sessions' BEGIN / DML / failing statements / COMMIT
+// / ROLLBACK, autocommit statements among them, and leaves some
+// transactions open at the "crash". The log is cut at every frame
+// boundary (and, outside -short, at random intra-frame offsets): the
+// recovered tables must equal exactly the committed prefix — the state
+// a fresh session saw right after that frame's commit.
+func TestCrashTortureInterleavedTxns(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4, 5, 6}
+	if testing.Short() {
+		seeds = seeds[:3]
+	}
+	for _, seed := range seeds {
+		dir := t.TempDir()
+		walPath := filepath.Join(dir, "wal.log")
+		db := freshEngine(t)
+		if err := db.EnableWAL(walPath); err != nil {
+			t.Fatal(err)
+		}
+		const sessions = 3
+		dump := func(db *Database) string {
+			s := db.NewSession()
+			defer s.Close()
+			var b strings.Builder
+			for k := 0; k < sessions; k++ {
+				res, err := s.Exec(fmt.Sprintf(`SELECT a FROM t%d ORDER BY a`, k), nil)
+				if err != nil {
+					return err.Error()
+				}
+				fmt.Fprintf(&b, "t%d%v ", k, res.Rows)
+			}
+			res, err := s.Exec(`SELECT n FROM shared ORDER BY n`, nil)
+			if err != nil {
+				return err.Error()
+			}
+			fmt.Fprintf(&b, "shared%v", res.Rows)
+			return b.String()
+		}
+		// states[j] is the committed state after frame j (states[0]:
+		// the empty log).
+		states := []string{dump(freshEngine(t))}
+		exec1 := func(s *Session, sql string) {
+			// Failing statements are part of the script; only a commit
+			// matters to the oracle.
+			_, _ = s.Exec(sql, nil)
+			if seq := db.WALSeq(); int(seq) >= len(states) {
+				states = append(states, dump(db))
+				if int(seq) != len(states)-1 {
+					t.Fatalf("seed %d: one statement appended %d frames", seed, int(seq)-len(states)+2)
+				}
+			}
+		}
+		setup := db.NewSession()
+		for k := 0; k < sessions; k++ {
+			exec1(setup, fmt.Sprintf(`CREATE TABLE t%d (a INT NOT NULL)`, k))
+		}
+		exec1(setup, `CREATE TABLE shared (n INT)`)
+		exec1(setup, `CREATE INDEX t0_a ON t0 (a)`)
+
+		r := rand.New(rand.NewSource(seed))
+		ss := make([]*Session, sessions)
+		for k := range ss {
+			ss[k] = db.NewSession()
+		}
+		// Each session's transactions touch only its own table, so
+		// recovery in commit order reproduces what they read; shared
+		// is written by autocommit statements only, which read any
+		// table.
+		for step := 0; step < 250; step++ {
+			k := r.Intn(sessions)
+			s := ss[k]
+			v := r.Intn(20)
+			dml := []string{
+				fmt.Sprintf(`INSERT INTO t%d VALUES (%d)`, k, v),
+				fmt.Sprintf(`DELETE FROM t%d WHERE a = %d`, k, v),
+				fmt.Sprintf(`UPDATE t%d SET a = a + 1 WHERE a = %d`, k, v),
+				fmt.Sprintf(`INSERT INTO t%d VALUES (NULL)`, k), // fails: NOT NULL
+			}
+			switch p := r.Intn(100); {
+			case !s.InTransaction() && p < 25:
+				exec1(s, `BEGIN`)
+			case !s.InTransaction() && p < 35:
+				exec1(s, fmt.Sprintf(`INSERT INTO shared SELECT COUNT(*) FROM t%d`, r.Intn(sessions)))
+			case s.InTransaction() && p < 15:
+				exec1(s, `COMMIT`)
+			case s.InTransaction() && p < 22:
+				exec1(s, `ROLLBACK`)
+			default:
+				exec1(s, dml[r.Intn(len(dml))])
+			}
+		}
+		if err := db.DisableWAL(); err != nil { // open transactions never commit
+			t.Fatal(err)
+		}
+		log, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := append([]int{0}, frameBoundaries(t, log)...)
+		if len(bounds) != len(states) {
+			t.Fatalf("seed %d: %d frames, %d recorded commits", seed, len(bounds)-1, len(states)-1)
+		}
+		check := func(cut, frames int) {
+			rec, err := recoverCut(t, dir, "", log, cut)
+			if err != nil {
+				t.Fatalf("seed %d cut %d: %v", seed, cut, err)
+			}
+			if got := dump(rec); got != states[frames] {
+				t.Fatalf("seed %d cut %d (%d frames):\n got %s\nwant %s", seed, cut, frames, got, states[frames])
+			}
+		}
+		for j, cut := range bounds {
+			check(cut, j)
+		}
+		if !testing.Short() {
+			for range 40 {
+				cut := 1 + r.Intn(len(log)-1)
+				j := 0
+				for j+1 < len(bounds) && bounds[j+1] <= cut {
+					j++
+				}
+				check(cut, j)
+			}
+		}
 	}
 }

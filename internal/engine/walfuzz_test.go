@@ -21,11 +21,11 @@ func FuzzWALFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	now := temporal.MustDate(1999, 11, 12)
-	plain := encodeWALPayload(now, `INSERT INTO t VALUES (1)`, nil)
-	withParams := encodeWALPayload(now, `INSERT INTO t VALUES (:a, :b)`, map[string]types.Value{
+	plain := encodeWALPayload(walStmt{now, `INSERT INTO t VALUES (1)`, nil})
+	withParams := encodeWALPayload(walStmt{now, `INSERT INTO t VALUES (:a, :b)`, map[string]types.Value{
 		"a": types.NewInt(7),
 		"b": types.NewString("x"),
-	})
+	}}, walStmt{now, `DELETE FROM t`, nil})
 	// Seed with frame bodies (decodeWALFrame's input excludes the
 	// length prefix the replay loop consumes).
 	body := func(epoch, seq uint64, payload []byte) []byte {
@@ -49,6 +49,15 @@ func FuzzWALFrame(f *testing.F) {
 		}
 		// A frame that checksums still carries an arbitrary payload;
 		// payload decoding must degrade to an error just as cleanly.
-		_, _, _, _ = decodeWALPayload(reg, fr.payload)
+		_, _ = decodeWALPayload(reg, fr.payload)
 	})
+}
+
+// encodeWALPayload builds a unit's frame payload from its statements.
+func encodeWALPayload(stmts ...walStmt) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(stmts)))
+	for _, st := range stmts {
+		buf = appendWALStmt(buf, st.now, st.sql, st.params)
+	}
+	return buf
 }

@@ -53,8 +53,8 @@ func StatementTables(stmt ast.Statement) (reads, writes []string) {
 		c.expr(st.Value)
 	}
 	// DropIndex, ShowTables and transaction control bind no table rows;
-	// the engine guards them with the catalog lock alone (or, for
-	// ROLLBACK, with the tables named in the undo log).
+	// the engine guards them with the catalog lock alone (COMMIT and
+	// ROLLBACK act on locks their transaction already holds).
 	for t := range c.writes {
 		delete(c.reads, t)
 		writes = append(writes, t)

@@ -195,6 +195,99 @@ func TestReplicaRejectsWritesWithTypedError(t *testing.T) {
 	}
 }
 
+// TestReplicaNeverServesUncommittedRows reads from a replica while
+// primary sessions hold open transactions — one of them open across
+// the replica's bootstrap snapshot — and roll them back, while others
+// commit two-row units. The replica must never return a row of an
+// uncommitted or rolled-back transaction, nor half of a committed one.
+func TestReplicaNeverServesUncommittedRows(t *testing.T) {
+	p := startPrimary(t)
+	p.mustExec(t, `CREATE TABLE rx (id INT, doomed INT)`)
+	p.mustExec(t, `CREATE TABLE hold (id INT)`)
+	p.mustExec(t, `INSERT INTO rx VALUES (0, 0), (0, 0)`)
+
+	// Open across the bootstrap: its rows must never reach the replica.
+	pending := p.db.NewSession()
+	defer pending.Close()
+	for _, sql := range []string{`BEGIN`, `INSERT INTO hold VALUES (1)`} {
+		if _, err := pending.Exec(sql, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := startReplica(t, p.srv.Addr())
+	r.converge(t, p)
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := p.db.NewSession()
+			defer s.Close()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Writer 0 commits pairs; writer 1 writes doomed rows
+				// and rolls them back.
+				script := []string{`BEGIN`,
+					fmt.Sprintf(`INSERT INTO rx VALUES (%d, %d)`, i, w),
+					fmt.Sprintf(`INSERT INTO rx VALUES (%d, %d)`, i, w),
+					`COMMIT`}
+				if w == 1 {
+					script[3] = `ROLLBACK`
+				}
+				for _, sql := range script {
+					if _, err := s.Exec(sql, nil); err != nil {
+						errs <- fmt.Errorf("primary %q: %v", sql, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	reader := r.db.NewSession()
+	defer reader.Close()
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for reads := 0; time.Now().Before(deadline) || reads < 50; reads++ {
+		res, err := reader.Exec(`SELECT COUNT(*), SUM(doomed) FROM rx`, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].Int(); n%2 != 0 {
+			t.Fatalf("replica served %d rows: half of a committed unit", n)
+		}
+		if !res.Rows[0][1].Null && res.Rows[0][1].Int() != 0 {
+			t.Fatalf("replica served %d rolled-back rows", res.Rows[0][1].Int())
+		}
+		if got := countRows(t, r.db, "hold"); got != 0 {
+			t.Fatalf("replica served %d rows of an open transaction", got)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if _, err := pending.Exec(`ROLLBACK`, nil); err != nil {
+		t.Fatal(err)
+	}
+	p.mustExec(t, `INSERT INTO hold VALUES (2)`)
+	r.converge(t, p)
+	if got, want := countRows(t, r.db, "rx"), countRows(t, p.db, "rx"); got != want {
+		t.Fatalf("replica rx = %d rows, primary %d", got, want)
+	}
+	if got := countRows(t, r.db, "hold"); got != 1 {
+		t.Fatalf("replica hold = %d rows, want only the committed one", got)
+	}
+}
+
 func TestKilledReplicaRejoins(t *testing.T) {
 	p := startPrimary(t)
 	p.mustExec(t, `CREATE TABLE t (a INT)`)

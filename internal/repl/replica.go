@@ -25,7 +25,10 @@ import (
 // Apply is exactly-once by construction: the snapshot states the seq it
 // reflects, every frame carries its seq, duplicates (seq ≤ applied) are
 // skipped and gaps refuse to apply — a gap or a failed apply tears the
-// connection down and the resubscribe (or re-bootstrap) heals it.
+// connection down and the resubscribe (or re-bootstrap) heals it. Each
+// frame is one committed unit (an autocommit statement or a whole
+// transaction) and applies as one commit, so replica readers never see
+// uncommitted, rolled-back or half-applied work.
 
 // Defaults for the replica's timing knobs; tests shrink them.
 const (
@@ -326,8 +329,8 @@ func (r *Replica) runOnce() error {
 				return fmt.Errorf("repl: frame gap: got seq %d, want %d", fr.Seq, a+1)
 			}
 			if err := r.sess.ApplyWALPayload(payload); err != nil {
-				// Divergence — e.g. a ROLLBACK for a transaction opened
-				// before our bootstrap. A fresh snapshot heals it.
+				// The frame does not apply to our state (a diverged or
+				// damaged lineage). A fresh snapshot heals it.
 				r.needSnapshot.Store(true)
 				return fmt.Errorf("repl: apply seq %d: %w", fr.Seq, err)
 			}
@@ -377,8 +380,7 @@ func (r *Replica) bootstrap(br *bufio.Reader, writeFrame func([]byte) error) err
 	if err != nil {
 		return err
 	}
-	// Drop any half-applied transaction state from the old lineage,
-	// then swap the contents wholesale.
+	// Drop the old apply session, then swap the contents wholesale.
 	r.sess.Close()
 	if err := r.db.LoadReplicaSnapshot(data); err != nil {
 		return err

@@ -14,14 +14,13 @@
 // version, so in-place tail writes race with nothing.
 //
 // Row ids are slot positions and stay stable across versions; deletes
-// tombstone the slot and queue it on a FIFO free list stamped with the
-// deleting version's sequence. A later insert may reuse the slot only
-// once the stamp falls behind the caller-supplied horizon (the minimum
-// sequence any open transaction started at), because undo logs address
-// rows by slot id and rollback must find its slot still dead. This
-// folds the old Heap.Compact tombstone reclamation — which nothing ever
-// called in production — into the normal write path, keeping capacity
-// bounded under delete/insert churn.
+// tombstone the slot and queue it on a FIFO free list, and a later
+// writer's insert reuses it. Reuse needs no gate: versions are
+// copy-on-write, so a reader pinned to an older version still sees the
+// slot's old row, and nothing addresses an uncommitted slot by id once
+// its writer is gone (a transaction's changes stay in its private
+// builder chain until commit, so rollback just drops them). This keeps
+// capacity bounded under delete/insert churn.
 package storage
 
 import (
@@ -42,38 +41,20 @@ const chunkSize = 256
 type chunk struct {
 	rows [chunkSize]Row
 	live [chunkSize]bool
-	// freed stamps each slot with the sequence of its most recent
-	// death. A free-list entry is only honored when its stamp still
-	// matches: a slot revived by rollback and later deleted again gets
-	// a fresh entry under the new stamp, and the stale old entry —
-	// whose stamp may already be behind the horizon — must not hand
-	// the slot out while the newer death's transaction is still open.
-	freed [chunkSize]uint64
-}
-
-// freeSlot records a tombstoned slot and the sequence of the version
-// that freed it.
-type freeSlot struct {
-	id  int
-	seq uint64
 }
 
 // Version is one immutable snapshot of a table's rows. All methods are
 // safe for concurrent use by any number of readers while writers build
 // successor versions.
 type Version struct {
-	seq    uint64
 	chunks []*chunk
-	slots  int // row slots visible in this version
-	n      int // live rows
-	free   []freeSlot
+	slots  int   // row slots visible in this version
+	n      int   // live rows
+	free   []int // tombstoned slots, oldest first
 }
 
-// NewVersion returns an empty version with sequence zero.
+// NewVersion returns an empty version.
 func NewVersion() *Version { return &Version{} }
-
-// Seq returns the sequence of the writer that published this version.
-func (v *Version) Seq() uint64 { return v.seq }
 
 // Len returns the number of live rows.
 func (v *Version) Len() int { return v.n }
@@ -115,22 +96,17 @@ func (v *Version) Scan(yield func(id int, r Row) bool) {
 // builder without Commit discards every change (published chunks were
 // never mutated in visible slots).
 type Builder struct {
-	base    *Version
-	seq     uint64
-	horizon uint64
-	chunks  []*chunk
-	shared  bool   // chunks aliases base.chunks' backing array
-	owned   []bool // when !shared: chunks[i] is builder-local and freely mutable
-	slots   int
-	n       int
-	popped  int        // free entries consumed from base.free
-	pushes  []freeSlot // slots freed by this builder
+	base   *Version
+	chunks []*chunk
+	shared bool   // chunks aliases base.chunks' backing array
+	owned  []bool // when !shared: chunks[i] is builder-local and freely mutable
+	slots  int
+	n      int
+	popped int   // free entries consumed from base.free
+	pushes []int // slots freed by this builder
 }
 
-// NewBuilder starts a successor of v with the given version sequence.
-// horizon is the oldest sequence any open transaction started at (or
-// seq itself when none are open): free slots stamped before it may be
-// reused.
+// NewBuilder starts a successor of v.
 //
 // The builder starts out aliasing v's chunk-pointer slice rather than
 // copying it — a pure-append statement (the INSERT hot path) then costs
@@ -139,15 +115,13 @@ type Builder struct {
 // older version sharing the backing) ever indexes; replacing a chunk at
 // an index a published version CAN see first privatizes the slice
 // (see mutable).
-func (v *Version) NewBuilder(seq, horizon uint64) *Builder {
+func (v *Version) NewBuilder() *Builder {
 	return &Builder{
-		base:    v,
-		seq:     seq,
-		horizon: horizon,
-		chunks:  v.chunks,
-		shared:  true,
-		slots:   v.slots,
-		n:       v.n,
+		base:   v,
+		chunks: v.chunks,
+		shared: true,
+		slots:  v.slots,
+		n:      v.n,
 	}
 }
 
@@ -208,28 +182,17 @@ func (b *Builder) Get(id int) (Row, bool) {
 	return c.rows[id%chunkSize], true
 }
 
-// Insert stores a row and returns its id, reusing a tombstoned slot
-// when one has fallen behind the transaction horizon.
+// Insert stores a row and returns its id, reusing the oldest slot a
+// previous version tombstoned when there is one.
 func (b *Builder) Insert(r Row) int {
-	for b.popped < len(b.base.free) {
-		fs := b.base.free[b.popped]
-		if fs.seq >= b.horizon {
-			break
-		}
+	if b.popped < len(b.base.free) {
+		id := b.base.free[b.popped]
 		b.popped++
-		ci, off := fs.id/chunkSize, fs.id%chunkSize
-		if b.chunks[ci].live[off] || b.chunks[ci].freed[off] != fs.seq {
-			// Stale entry: a rollback revived the slot after it was
-			// freed (and, if it died again, the newer death queued its
-			// own entry under its own stamp, which gates reuse against
-			// the horizon correctly). Drop it and keep looking.
-			continue
-		}
-		c := b.mutable(ci)
-		c.rows[off] = r
-		c.live[off] = true
+		c := b.mutable(id / chunkSize)
+		c.rows[id%chunkSize] = r
+		c.live[id%chunkSize] = true
 		b.n++
-		return fs.id
+		return id
 	}
 	id := b.slots
 	ci, off := id/chunkSize, id%chunkSize
@@ -248,28 +211,8 @@ func (b *Builder) Insert(r Row) int {
 	return id
 }
 
-// InsertAt revives a specific row id with the given content — used
-// only by transaction rollback to undo a delete. The slot must be a
-// tombstone. The slot's free-list entry is left in place but becomes
-// permanently stale: Insert skips entries whose slot is live or whose
-// stamp no longer matches the slot's most recent death.
-func (b *Builder) InsertAt(id int, r Row) error {
-	if id < 0 || id >= b.slots {
-		return fmt.Errorf("storage: row id %d out of range", id)
-	}
-	ci, off := id/chunkSize, id%chunkSize
-	if b.chunks[ci].live[off] {
-		return fmt.Errorf("storage: row id %d is live", id)
-	}
-	c := b.mutable(ci)
-	c.rows[off] = r
-	c.live[off] = true
-	b.n++
-	return nil
-}
-
 // Delete tombstones a row, returning its former content and queueing
-// the slot for horizon-gated reuse.
+// the slot for reuse by later versions.
 func (b *Builder) Delete(id int) (Row, error) {
 	if id < 0 || id >= b.slots {
 		return nil, fmt.Errorf("storage: no row %d", id)
@@ -282,9 +225,8 @@ func (b *Builder) Delete(id int) (Row, error) {
 	old := c.rows[off]
 	c.rows[off] = nil
 	c.live[off] = false
-	c.freed[off] = b.seq
 	b.n--
-	b.pushes = append(b.pushes, freeSlot{id: id, seq: b.seq})
+	b.pushes = append(b.pushes, id)
 	return old, nil
 }
 
@@ -334,7 +276,6 @@ func (b *Builder) Commit() *Version {
 		free = append(free, b.pushes...)
 	}
 	return &Version{
-		seq:    b.seq,
 		chunks: b.chunks,
 		slots:  b.slots,
 		n:      b.n,

@@ -14,12 +14,10 @@ func row(vals ...int64) Row {
 	return r
 }
 
-// commit1 runs one single-statement "writer" against the latest
-// version: seq advances by one and, with no open transactions, the
-// horizon equals the new seq.
+// commit1 runs one "writer" against the latest version and publishes
+// its result.
 func commit1(v *Version, f func(b *Builder)) *Version {
-	seq := v.Seq() + 1
-	b := v.NewBuilder(seq, seq)
+	b := v.NewBuilder()
 	f(b)
 	return b.Commit()
 }
@@ -83,33 +81,6 @@ func TestSlabUpdate(t *testing.T) {
 	}
 }
 
-func TestSlabInsertAt(t *testing.T) {
-	var id int
-	v := commit1(NewVersion(), func(b *Builder) {
-		id = b.Insert(row(1))
-		if err := b.InsertAt(id, row(2)); err == nil {
-			t.Error("InsertAt on live slot should fail")
-		}
-	})
-	v = commit1(v, func(b *Builder) {
-		if _, err := b.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	})
-	v = commit1(v, func(b *Builder) {
-		if err := b.InsertAt(id, row(2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.InsertAt(99, row(1)); err == nil {
-			t.Error("InsertAt out of range should fail")
-		}
-	})
-	r, ok := v.Get(id)
-	if !ok || r[0].Int() != 2 {
-		t.Error("revived row wrong")
-	}
-}
-
 func TestSlabScanOrderAndEarlyStop(t *testing.T) {
 	v := commit1(NewVersion(), func(b *Builder) {
 		for i := int64(0); i < 10; i++ {
@@ -141,8 +112,8 @@ func TestSlabScanOrderAndEarlyStop(t *testing.T) {
 
 // TestSlabChurnBounded is the regression test for the old
 // Heap.Compact tombstone leak: a delete/insert churn loop must reuse
-// slots once the transaction horizon passes, keeping capacity bounded
-// rather than growing one slot per churn round.
+// freed slots, keeping capacity bounded rather than growing one slot
+// per churn round.
 func TestSlabChurnBounded(t *testing.T) {
 	v := commit1(NewVersion(), func(b *Builder) {
 		for i := int64(0); i < 100; i++ {
@@ -167,93 +138,11 @@ func TestSlabChurnBounded(t *testing.T) {
 	if v.Len() != 100 {
 		t.Fatalf("len after churn = %d", v.Len())
 	}
-	// Each round's tombstone is behind the horizon by the time the
-	// next round inserts, so capacity may exceed the live count by at
-	// most a round's worth of slack, not the 1000 rounds of churn.
+	// Each round's tombstone is reused by the next round's insert, so
+	// capacity may exceed the live count by at most a round's worth of
+	// slack, not the 1000 rounds of churn.
 	if v.Capacity() > 110 {
 		t.Fatalf("capacity grew without bound: cap=%d live=%d", v.Capacity(), v.Len())
-	}
-}
-
-// TestSlabHorizonBlocksReuse pins a transaction horizon below the
-// freeing sequence and checks the slot is not reused until the horizon
-// passes it — undo logs address rows by slot id, so premature reuse
-// would break rollback.
-func TestSlabHorizonBlocksReuse(t *testing.T) {
-	var id int
-	v := commit1(NewVersion(), func(b *Builder) {
-		id = b.Insert(row(1))
-	})
-	v = commit1(v, func(b *Builder) { // seq 2 frees the slot
-		if _, err := b.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// A transaction open since seq 1 pins horizon=1: no reuse.
-	b := v.NewBuilder(3, 1)
-	if got := b.Insert(row(2)); got == id {
-		t.Fatal("slot reused under an open transaction horizon")
-	}
-	v2 := b.Commit()
-	// With the transaction gone the horizon passes the free stamp.
-	b = v2.NewBuilder(4, 4)
-	if got := b.Insert(row(3)); got != id {
-		t.Fatalf("slot not reused after horizon passed: got %d want %d", got, id)
-	}
-}
-
-// TestSlabStaleFreeEntry is the regression test for the stale
-// free-list entry bug: a slot freed at seq d, revived by rollback, and
-// freed again at seq n leaves the old {id, d} entry queued. An insert
-// whose horizon has passed d but not n must not honor the stale entry —
-// the newer death's transaction is still open, and its rollback will
-// InsertAt the slot, which has to find it still dead.
-func TestSlabStaleFreeEntry(t *testing.T) {
-	var id int
-	v := commit1(NewVersion(), func(b *Builder) {
-		id = b.Insert(row(1))
-	})
-	v = commit1(v, func(b *Builder) { // seq 2: first death, queues {id, 2}
-		if _, err := b.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	})
-	v = commit1(v, func(b *Builder) { // seq 3: rollback revives the slot
-		if err := b.InsertAt(id, row(1)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	v = commit1(v, func(b *Builder) { // seq 4: second death, queues {id, 4}
-		if _, err := b.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// A transaction open since seq 4 pins horizon=4: the stale {id, 2}
-	// entry is poppable but must be recognised as stale, not reused.
-	b := v.NewBuilder(5, 4)
-	if got := b.Insert(row(9)); got == id {
-		t.Fatal("stale free entry handed out a slot whose latest death is inside the horizon")
-	}
-	v = b.Commit()
-	// The open transaction's rollback still finds its slot dead.
-	b = v.NewBuilder(6, 4)
-	if err := b.InsertAt(id, row(1)); err != nil {
-		t.Fatalf("rollback InsertAt after stale-entry insert: %v", err)
-	}
-	v = b.Commit()
-	if r, ok := v.Get(id); !ok || r[0].Int() != 1 {
-		t.Fatalf("revived slot = %v, %v", r, ok)
-	}
-	// Once the second death's stamp falls behind the horizon, its own
-	// entry (not the stale one) hands the slot out again.
-	v = commit1(v, func(b *Builder) { // seq 7: third death, queues {id, 7}
-		if _, err := b.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	})
-	b = v.NewBuilder(8, 8)
-	if got := b.Insert(row(2)); got != id {
-		t.Fatalf("slot not reused after horizon passed its latest death: got %d want %d", got, id)
 	}
 }
 
@@ -313,7 +202,7 @@ func TestSlabDiscard(t *testing.T) {
 	v := commit1(NewVersion(), func(b *Builder) {
 		b.Insert(row(1))
 	})
-	b := v.NewBuilder(2, 2)
+	b := v.NewBuilder()
 	b.Insert(row(2))
 	if _, err := b.Delete(0); err != nil {
 		t.Fatal(err)
