@@ -3,8 +3,8 @@
 // blade-vs-stratum comparisons (E2, E3), the NOW-semantics sweep (E4),
 // the generated-SQL complexity table (E5), the period-index selection
 // ablation (E6), the WAL durability ablation (E7), the temporal-join
-// algorithm comparison (E8) and the per-table vs single-lock
-// concurrency ablation (E9).
+// algorithm comparison (E8) and disjoint-table writer throughput beside
+// a scanning analyst (E9).
 //
 // Usage:
 //

@@ -9,7 +9,7 @@
 // and temporal joins (E3), the time-dependence of NOW (E4), the size of
 // generated stratum SQL (E5), the period-index crossover (E6), the WAL
 // durability ablation (E7), the temporal-join algorithm comparison (E8),
-// and the per-table vs single-lock concurrency ablation (E9).
+// and disjoint-table writer throughput beside a scanning analyst (E9).
 package bench
 
 import (
