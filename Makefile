@@ -65,14 +65,16 @@ fuzz-smoke:
 # transactions under the race detector: snapshot atomicity beside
 # concurrent writers (plain, hash-index and period-index scans), no
 # dirty reads, atomic multi-table commits, wait-die lock ordering, hash
-# postings surviving a failed statement until ROLLBACK, zero goroutine
+# postings surviving a failed statement until ROLLBACK, the read check
+# at commit (stale or dropped read tables conflict, autocommit
+# statements re-run, recovery equals the live state), zero goroutine
 # leaks and GC of superseded versions — then the multi-session
 # transaction stress tests at 1, 2 and 4 CPUs (50 runs each), then the
 # disjoint-writer benchmark with and without the scanning analyst so
 # the analyst's cost to writers stays visible (scans never take locks,
 # so any gap is pure CPU competition).
 mvcc-smoke:
-	$(GO) test -race -run 'TestMVCC|TestTxn' -count=1 ./internal/engine
+	$(GO) test -race -run 'TestMVCC|TestTxn|TestAutocommit' -count=1 ./internal/engine
 	$(GO) test -race -cpu 1,2,4 -count=50 -run 'TestMultiSessionStress|TestConcurrentTransactionsPerSession' ./internal/server ./internal/engine
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDisjointWriters(PerTable|NoAnalyst)$$' -benchtime 200ms .
 

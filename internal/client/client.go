@@ -461,8 +461,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // ServerError is an error reported by the server (a SQL error, a
 // cancelled or timed-out statement, or an admission-control rejection —
 // not a transport failure); the connection remains usable. Use
-// errors.Is against ErrCancelled, ErrTimeout, ErrBusy and ErrShutdown
-// to classify it.
+// errors.Is against the sentinels below (ErrCancelled, ErrTimeout,
+// ErrBusy, ErrShutdown, ErrReadOnly, ErrResource, ErrConflict) to
+// classify it.
 type ServerError struct {
 	Message string
 	Code    byte // protocol.ErrCode*
@@ -490,6 +491,13 @@ var (
 	// budget, or a result too large for one response frame. No change
 	// was applied, so retrying (after backoff) is safe.
 	ErrResource = errors.New("client: resource limit exceeded")
+	// ErrConflict matches a transaction (or autocommit statement) the
+	// server aborted on a lock or read conflict. Nothing of it was
+	// applied and the session has no open transaction any more, so
+	// rerunning the whole transaction from BEGIN is safe. RetryPolicy
+	// does not retry it: repeating only the failed statement would run
+	// it outside the aborted transaction.
+	ErrConflict = errors.New("client: transaction conflict; rerun the transaction")
 )
 
 // Is classifies the error code against the sentinel targets.
@@ -507,6 +515,8 @@ func (e *ServerError) Is(target error) bool {
 		return e.Code == protocol.ErrCodeReadOnly
 	case ErrResource:
 		return e.Code == protocol.ErrCodeResource
+	case ErrConflict:
+		return e.Code == protocol.ErrCodeConflict
 	}
 	return false
 }

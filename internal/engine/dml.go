@@ -108,13 +108,6 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 	}
 	env := s.env(params)
 	schema := exec.TableSchema(tbl)
-	var where exec.RowExpr
-	var err error
-	if st.Where != nil {
-		if where, err = exec.CompileRowExpr(env, schema, st.Where); err != nil {
-			return nil, err
-		}
-	}
 	type setter struct {
 		pos int
 		e   exec.RowExpr
@@ -132,13 +125,8 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 		setters[i] = setter{pos: pos, e: ce}
 	}
 
-	ids, err := s.matchingRows(tbl, env, where)
+	ids, err := s.matchingRows(tbl, env, st.Where)
 	if err != nil {
-		return nil, err
-	}
-	// Last cancel point: the WHERE scan above polls the token per row;
-	// once the writer opens, the update commits or discards wholesale.
-	if err := env.CancelErr(); err != nil {
 		return nil, err
 	}
 	now := s.Now()
@@ -181,19 +169,8 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
 	env := s.env(params)
-	var where exec.RowExpr
-	var err error
-	if st.Where != nil {
-		if where, err = exec.CompileRowExpr(env, exec.TableSchema(tbl), st.Where); err != nil {
-			return nil, err
-		}
-	}
-	ids, err := s.matchingRows(tbl, env, where)
+	ids, err := s.matchingRows(tbl, env, st.Where)
 	if err != nil {
-		return nil, err
-	}
-	// Last cancel point before the writer opens (see update).
-	if err := env.CancelErr(); err != nil {
 		return nil, err
 	}
 	now := s.Now()
@@ -212,8 +189,17 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 // predicate against the statement's pinned snapshot, before any
 // mutation begins. For a written table the pinned snapshot is the
 // unit's overlay (captured under the write lock), which the statement's
-// writer builds on, so the id set is exact.
-func (s *Session) matchingRows(tbl *exec.Table, env *exec.Env, where exec.RowExpr) ([]int, error) {
+// writer builds on, so the id set is exact. Its end is the statement's
+// last cancel point: once the writer opens, the statement commits or
+// discards wholesale.
+func (s *Session) matchingRows(tbl *exec.Table, env *exec.Env, cond ast.Expr) ([]int, error) {
+	var where exec.RowExpr
+	if cond != nil {
+		var err error
+		if where, err = exec.CompileRowExpr(env, exec.TableSchema(tbl), cond); err != nil {
+			return nil, err
+		}
+	}
 	var ids []int
 	var scanErr error
 	var ticks uint32
@@ -241,6 +227,9 @@ func (s *Session) matchingRows(tbl *exec.Table, env *exec.Env, where exec.RowExp
 		ids = append(ids, id)
 		return true
 	})
+	if scanErr == nil {
+		scanErr = env.CancelErr()
+	}
 	return ids, scanErr
 }
 

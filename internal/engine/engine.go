@@ -28,6 +28,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,9 +64,12 @@ type Database struct {
 	// MVCC state: vclock is the version clock stamping every writer
 	// statement and commit (the in-memory extension of the WAL
 	// epoch/seq pair — see DESIGN.md), hz tracks which old sequences
-	// in-flight statement snapshots still reach.
-	vclock atomic.Uint64
-	hz     *horizonTracker
+	// in-flight statement snapshots still reach. commitMu orders
+	// commits: a unit's read check, WAL append and install happen
+	// under it as one step (see endUnit).
+	vclock   atomic.Uint64
+	hz       *horizonTracker
+	commitMu sync.Mutex
 
 	// Durability state. epoch is the current durability epoch (stamped
 	// on snapshots and WAL frames; bumped by Checkpoint) and walSeq the
@@ -323,6 +327,10 @@ func (s *Session) CacheStats() (hits, misses uint64) {
 // always its own commit unit.
 var errDDLInTxn = errors.New("engine: DDL inside a transaction is not supported")
 
+// staleReadAttempts bounds the runs of an autocommit statement that
+// keeps failing the read check at commit (see unit.go).
+const staleReadAttempts = 4
+
 // run executes one parsed statement: it acquires the locks the
 // statement needs (see locks.go), executes it inside the session's
 // commit unit, and ends an autocommit unit — commit on success. DDL is
@@ -342,7 +350,6 @@ func (s *Session) run(stmt ast.Statement, sql string, params map[string]types.Va
 	if isDDL(stmt) && s.tx != nil {
 		return nil, errDDLInTxn
 	}
-	now := s.Now()
 	if write || commit {
 		// Hold the checkpoint gate across apply+log so Checkpoint never
 		// snapshots a unit whose WAL frame then lands in the new epoch
@@ -354,9 +361,22 @@ func (s *Session) run(stmt ast.Statement, sql string, params map[string]types.Va
 	var w *wal
 	var walSeq uint64
 	var logErr error
-	unlock, err := s.lockFor(stmt)
-	s.tr.Mark(&s.tr.Lock)
-	if err == nil {
+	var err error
+	for attempt := 1; ; attempt++ {
+		autocommit := s.tx == nil && isDML(stmt)
+		now := s.Now()
+		var unlock func()
+		unlock, err = s.lockFor(stmt)
+		s.tr.Mark(&s.tr.Lock)
+		if err != nil {
+			if errors.Is(err, ErrConflict) || s.tx == nil {
+				// A wait-die abort ends the transaction to break a
+				// possible deadlock: nothing of it survives.
+				s.tx = nil
+				s.endUnit(false)
+			}
+			break
+		}
 		res, err = s.execLocked(stmt, params)
 		if sw := s.stmtW; sw != nil {
 			sw.EndStmt(err == nil)
@@ -378,17 +398,17 @@ func (s *Session) run(stmt ast.Statement, sql string, params map[string]types.Va
 			// unit using a new schema can log ahead of the DDL that
 			// made it.
 			w, walSeq, logErr = s.endUnit(err == nil)
+			if logErr == errStaleRead {
+				res, err, logErr = nil, logErr, nil
+			}
 		}
 		unlock()
-	} else {
-		if errors.Is(err, ErrConflict) {
-			// Wait-die aborted the transaction to break a possible
-			// deadlock: nothing of it survives.
-			s.tx = nil
+		if err != errStaleRead || !autocommit || attempt == staleReadAttempts {
+			break
 		}
-		if s.tx == nil {
-			s.endUnit(false)
-		}
+		// Nothing of the autocommit statement was applied or seen:
+		// run it again on fresh snapshots.
+		s.mem.Reset()
 	}
 	if walSeq != 0 {
 		if err := db.syncFrame(w, walSeq); err != nil && logErr == nil {
@@ -594,12 +614,8 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 	// The catalog lock is held exclusively, so no statement is in
 	// flight and the version chain stays linear.
 	now := s.Now()
-	nv := &exec.TableVersion{
-		Seq:     s.db.vclock.Add(1),
-		Rows:    snap.Rows,
-		Hash:    snap.Hash,
-		Periods: snap.Periods,
-	}
+	nv := *snap
+	nv.Seq = s.db.vclock.Add(1)
 	if st.Period {
 		pb := index.NewPeriodBuilder(nil)
 		var buildErr error
@@ -612,9 +628,7 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 			return nil, buildErr
 		}
 		nv.Periods = make(map[int]*index.Period, len(snap.Periods)+1)
-		for p, ix := range snap.Periods {
-			nv.Periods[p] = ix
-		}
+		maps.Copy(nv.Periods, snap.Periods)
 		nv.Periods[pos] = pb.Commit()
 	} else {
 		ix := index.NewHash()
@@ -628,13 +642,11 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 			return true
 		})
 		nv.Hash = make(map[int]*index.Hash, len(snap.Hash)+1)
-		for p, h := range snap.Hash {
-			nv.Hash[p] = h
-		}
+		maps.Copy(nv.Hash, snap.Hash)
 		nv.Hash[pos] = ix
 	}
-	nv.Stats = exec.ComputeStats(nv)
-	tbl.Install(nv)
+	nv.Stats = exec.ComputeStats(&nv)
+	tbl.Install(&nv)
 	return &exec.Result{}, nil
 }
 
@@ -648,30 +660,17 @@ func (s *Session) dropIndex(st *ast.DropIndex) (*exec.Result, error) {
 	}
 	tbl := s.db.tables[strings.ToLower(im.Table)]
 	pos, _ := tbl.Meta.ColumnIndex(im.Column)
-	snap := tbl.Snapshot()
-	nv := &exec.TableVersion{
-		Seq:     s.db.vclock.Add(1),
-		Rows:    snap.Rows,
-		Hash:    snap.Hash,
-		Periods: snap.Periods,
-	}
+	nv := *tbl.Snapshot()
+	nv.Seq = s.db.vclock.Add(1)
 	if im.Kind == catalog.PeriodIndex {
-		nv.Periods = make(map[int]*index.Period, len(snap.Periods))
-		for p, ix := range snap.Periods {
-			if p != pos {
-				nv.Periods[p] = ix
-			}
-		}
+		nv.Periods = maps.Clone(nv.Periods)
+		delete(nv.Periods, pos)
 	} else {
-		nv.Hash = make(map[int]*index.Hash, len(snap.Hash))
-		for p, h := range snap.Hash {
-			if p != pos {
-				nv.Hash[p] = h
-			}
-		}
+		nv.Hash = maps.Clone(nv.Hash)
+		delete(nv.Hash, pos)
 	}
-	nv.Stats = exec.ComputeStats(nv)
-	tbl.Install(nv)
+	nv.Stats = exec.ComputeStats(&nv)
+	tbl.Install(&nv)
 	return &exec.Result{}, s.db.cat.DropIndex(st.Name)
 }
 

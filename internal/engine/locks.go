@@ -49,9 +49,10 @@ import (
 // recognises one.
 
 // ErrConflict reports that a transaction was aborted to break a
-// possible lock-order deadlock, or that DDL met a table an open
-// transaction writes. Nothing of the aborted transaction was applied;
-// retrying it is safe.
+// possible lock-order deadlock or because a table it read changed
+// before it committed (see unit.go), or that DDL met a table an open
+// transaction writes. Nothing of the aborted transaction or statement
+// was applied; retrying it is safe.
 var ErrConflict = errors.New("engine: lock conflict; retry the transaction")
 
 // autocommitTicket is the wait-die ticket of autocommit units. They
@@ -243,7 +244,6 @@ func isDDL(stmt ast.Statement) bool {
 	switch stmt.(type) {
 	case *ast.CreateTable, *ast.DropTable, *ast.CreateIndex, *ast.DropIndex:
 		return true
-	default:
-		return false
 	}
+	return false
 }

@@ -440,7 +440,8 @@ func TestWALDeterministicBytes(t *testing.T) {
 
 // TestCrashTortureInterleavedTxns runs seeded random scripts that
 // interleave three sessions' BEGIN / DML / failing statements / COMMIT
-// / ROLLBACK, autocommit statements among them, and leaves some
+// / ROLLBACK, autocommit statements among them and reads of other
+// sessions' tables in both, and leaves some
 // transactions open at the "crash". The log is cut at every frame
 // boundary (and, outside -short, at random intra-frame offsets): the
 // recovered tables must equal exactly the committed prefix — the state
@@ -502,10 +503,11 @@ func TestCrashTortureInterleavedTxns(t *testing.T) {
 		for k := range ss {
 			ss[k] = db.NewSession()
 		}
-		// Each session's transactions touch only its own table, so
-		// recovery in commit order reproduces what they read; shared
-		// is written by autocommit statements only, which read any
-		// table.
+		// Each session's transactions write only its own table but
+		// read any table: a unit whose read went stale before it
+		// committed fails with ErrConflict, so recovery in commit
+		// order still reproduces what every logged statement read.
+		// shared is written by autocommit statements only.
 		for step := 0; step < 250; step++ {
 			k := r.Intn(sessions)
 			s := ss[k]
@@ -515,6 +517,7 @@ func TestCrashTortureInterleavedTxns(t *testing.T) {
 				fmt.Sprintf(`DELETE FROM t%d WHERE a = %d`, k, v),
 				fmt.Sprintf(`UPDATE t%d SET a = a + 1 WHERE a = %d`, k, v),
 				fmt.Sprintf(`INSERT INTO t%d VALUES (NULL)`, k), // fails: NOT NULL
+				fmt.Sprintf(`INSERT INTO t%d SELECT COUNT(*) FROM t%d`, k, r.Intn(sessions)),
 			}
 			switch p := r.Intn(100); {
 			case !s.InTransaction() && p < 25:

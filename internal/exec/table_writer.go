@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"maps"
 
 	"tip/internal/index"
 	"tip/internal/storage"
@@ -74,10 +75,7 @@ func (w *TableWriter) EndStmt(ok bool) {
 			Periods: w.cur.Periods,
 		}
 		if len(w.periods) > 0 {
-			nv.Periods = make(map[int]*index.Period, len(w.cur.Periods))
-			for pos, ix := range w.cur.Periods {
-				nv.Periods[pos] = ix
-			}
+			nv.Periods = maps.Clone(w.cur.Periods)
 			for pos, b := range w.periods {
 				nv.Periods[pos] = b.Commit()
 			}

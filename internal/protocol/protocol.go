@@ -128,6 +128,12 @@ const (
 	// after backoff is safe (the statement either never ran or was
 	// aborted before applying any change).
 	ErrCodeResource
+	// ErrCodeConflict reports a transaction (or autocommit statement)
+	// the server aborted to break a possible lock-order deadlock or
+	// because a table it read changed before it could commit. Nothing
+	// of it was applied and the session has no open transaction; rerun
+	// the whole transaction from BEGIN.
+	ErrCodeConflict
 )
 
 // Version identifies the protocol revision.

@@ -329,8 +329,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.nConns.Add(-1)
 	sess := s.db.NewSession()
-	// Drop the session's MVCC registrations (an abandoned open
-	// transaction would otherwise pin the reclamation horizon forever).
+	// Roll back an abandoned open transaction: it would otherwise keep
+	// its table write locks, blocking every writer of those tables.
 	defer sess.Close()
 	sess.SetDefaultStmtTimeout(s.stmtTimeout)
 	sess.SetDefaultStmtMem(s.stmtMem)
@@ -546,6 +546,8 @@ func encodeExecError(err error) []byte {
 		return protocol.EncodeErrorCode(protocol.ErrCodeReadOnly, err.Error())
 	case errors.Is(err, engine.ErrMemory):
 		return protocol.EncodeErrorCode(protocol.ErrCodeResource, err.Error())
+	case errors.Is(err, engine.ErrConflict):
+		return protocol.EncodeErrorCode(protocol.ErrCodeConflict, err.Error())
 	}
 	return protocol.EncodeError(err.Error())
 }

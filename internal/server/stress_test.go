@@ -7,6 +7,7 @@ package server_test
 // never visible to anyone.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -145,5 +146,39 @@ func TestMultiSessionStress(t *testing.T) {
 		if got := res.Rows[0][0].Int(); got != (txns+1)/2 {
 			t.Errorf("t%d rows = %d, want %d committed", i, got, (txns+1)/2)
 		}
+	}
+}
+
+// TestConflictIsTyped: a transaction wait-die aborts (it holds one
+// table and asks for another an older transaction holds) reaches the
+// client as ErrConflict, with nothing of it applied and the connection
+// usable.
+func TestConflictIsTyped(t *testing.T) {
+	srv := start(t)
+	a, b := connect(t, srv), connect(t, srv)
+	for _, sql := range []string{`CREATE TABLE t1 (x INT)`, `CREATE TABLE t2 (x INT)`,
+		`BEGIN`, `INSERT INTO t1 VALUES (1)`} {
+		if _, err := a.Exec(sql, nil); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, sql := range []string{`BEGIN`, `INSERT INTO t2 VALUES (2)`} {
+		if _, err := b.Exec(sql, nil); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	_, err := b.Exec(`INSERT INTO t1 VALUES (3)`, nil)
+	if !errors.Is(err, client.ErrConflict) {
+		t.Fatalf("younger transaction asking for an older one's table: err = %v, want client.ErrConflict", err)
+	}
+	if _, err := a.Exec(`COMMIT`, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Exec(`SELECT COUNT(*) FROM t2`, nil)
+	if err != nil {
+		t.Fatalf("connection unusable after the conflict: %v", err)
+	}
+	if n := res.Rows[0][0].Int(); n != 0 {
+		t.Fatalf("aborted transaction left %d rows in t2", n)
 	}
 }
